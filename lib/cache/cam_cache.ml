@@ -16,6 +16,14 @@ type t = {
   nvalid : int array;
       (** valid lines per set — lets a fill skip the invalid-way scan
           once the set is full (the steady state). *)
+  memo : int array;
+      (** residence memo: line number [(tag lsl set_bits) lor set],
+          masked by [memo_mask] -> the way the line was last installed
+          or found in.  A hint that [find_way] verifies against [tags],
+          so stale slots are harmless and never cleared; not machine
+          state, so not in [fingerprint]. *)
+  memo_mask : int;
+  set_bits : int;
   mutable clock : int;
   probe : Wp_obs.Probe.t option;
 }
@@ -41,6 +49,12 @@ let create ?probe geometry ~replacement =
     last_use = Array.make n 0;
     mru = Array.make (Geometry.sets geometry) (-1);
     nvalid = Array.make (Geometry.sets geometry) 0;
+    (* One memo slot per line: [n] is a power of two (sets and assoc
+       both are), so the mask keeps the set bits and the low
+       [log2 assoc] tag bits of the line number. *)
+    memo = Array.make n 0;
+    memo_mask = n - 1;
+    set_bits = Geometry.set_bits geometry;
     clock = 0;
     probe;
   }
@@ -52,23 +66,34 @@ let touch t ~set ~way =
   t.clock <- t.clock + 1;
   t.last_use.(index t ~set ~way) <- t.clock
 
+let memo_slot t ~set ~tag = ((tag lsl t.set_bits) lor set) land t.memo_mask
+
 (* Allocation-free core of [find]: the resident way, or -1.  The hot
    lookup paths call this directly; [find] wraps it in an option for
-   the probing/diagnostic callers. *)
+   the probing/diagnostic callers.  MRU, then the residence memo, then
+   the scan: tags are unique within a set, so a verified hint is
+   exactly the way the scan would return. *)
 let find_way t ~set ~tag =
   let assoc = t.geometry.Geometry.assoc in
   let base = set * assoc in
   let m = t.mru.(set) in
   if m >= 0 && t.tags.(base + m) = tag then m
   else begin
-    (* Invalid slots hold tag -1 and can never match, so the scan is a
-       single compare per way over one array. *)
-    let rec go way =
-      if way >= assoc then -1
-      else if t.tags.(base + way) = tag then way
-      else go (way + 1)
-    in
-    go 0
+    let slot = memo_slot t ~set ~tag in
+    let h = t.memo.(slot) in
+    if t.tags.(base + h) = tag then h
+    else begin
+      (* Invalid slots hold tag -1 and can never match, so the scan is
+         a single compare per way over one array. *)
+      let rec go way =
+        if way >= assoc then -1
+        else if t.tags.(base + way) = tag then way
+        else go (way + 1)
+      in
+      let way = go 0 in
+      if way >= 0 then t.memo.(slot) <- way;
+      way
+    end
   end
 
 let find t ~set ~tag =
@@ -187,6 +212,7 @@ let install t ~set ~tag policy =
   t.tags.(i) <- tag;
   t.valid.(i) <- true;
   t.mru.(set) <- way;
+  t.memo.(memo_slot t ~set ~tag) <- way;
   touch t ~set ~way;
   (match t.probe with
   | None -> ()
@@ -270,7 +296,8 @@ let flush t =
    compares timestamps), so replacement age is canonicalised to each
    way's rank within its set.  Two caches with equal fingerprints are
    bisimilar: every lookup, fill and victim choice behaves identically
-   on both. *)
+   on both.  The residence memo is not emitted: it only ever answers
+   what the scan would, so it is not state. *)
 let fingerprint t ~add =
   let assoc = t.geometry.Geometry.assoc in
   let sets = Geometry.sets t.geometry in

@@ -9,7 +9,19 @@
     The cache never fills implicitly — a lookup reports a miss and the
     caller decides how (and into which way) to fill.  This is what lets
     the fetch engine implement baseline, way-placement and
-    way-memoization behaviour on one substrate. *)
+    way-memoization behaviour on one substrate.
+
+    {b Residence lookups are O(1) in the common case.}  A host-side
+    memo maps each line number ([(tag lsl set_bits) lor set], one slot
+    per cache line) to the way where the line was last installed or
+    found; every residence search checks the set's MRU way, then the
+    memo's way, and only then scans the set.  A memo answer counts only
+    if the tag at that way matches, and tags are unique within a set, so
+    a verified hint is exactly the way the scan would return.  Stale
+    slots left by eviction, {!invalidate} or {!flush} fail the check and
+    need no clearing.  The memo is not machine state: it never changes
+    a lookup result, an outcome, a probe event or the replacement
+    state, and {!fingerprint} excludes it. *)
 
 type t
 
@@ -103,7 +115,9 @@ val fingerprint : t -> add:(int -> unit) -> unit
     LRU — each way's age {e rank} within its set rather than its raw
     timestamp (only the ordering is observable, via victim choice).
     Equal fingerprints imply bisimilar caches: every subsequent lookup,
-    fill and victim choice behaves identically.  Used by the
-    steady-state fast-forward detector. *)
+    fill and victim choice behaves identically.  The residence memo is
+    excluded — it never changes a result — so two caches that reach the
+    same state by different lookup orders fingerprint equal.  Used by
+    the steady-state fast-forward detector. *)
 
 val pp : Format.formatter -> t -> unit

@@ -8,8 +8,12 @@ type t = {
   table : (string, Stats.t) Hashtbl.t;
   evictions : int Atomic.t;
   write_failures : int Atomic.t;
-  tmp_counter : int Atomic.t;
 }
+
+(* Temporary-file sequence number, shared by every store in the
+   process: with the pid it makes each temporary name unique, even when
+   two stores on one directory write the same key at once. *)
+let tmp_counter = Atomic.make 0
 
 let create ?dir () =
   let ready =
@@ -46,7 +50,6 @@ let create ?dir () =
           table = Hashtbl.create 256;
           evictions = Atomic.make 0;
           write_failures = Atomic.make 0;
-          tmp_counter = Atomic.make 0;
         }
 
 let dir t = t.dir
@@ -122,7 +125,7 @@ let store_disk t k stats =
           Filename.concat d
             (Printf.sprintf ".tmp-%d-%d-%s"
                (Unix.getpid ())
-               (Atomic.fetch_and_add t.tmp_counter 1)
+               (Atomic.fetch_and_add tmp_counter 1)
                k)
         in
         match open_out_bin tmp with

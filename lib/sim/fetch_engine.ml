@@ -489,7 +489,7 @@ let fetch t (stats : Stats.t) addr =
                 | Some p ->
                     p (Wp_obs.Probe.Hint Reaccess);
                     p (Wp_obs.Probe.Tag_comparisons 1));
-                charge_icache stats (Cam_energy.tag_search t.energies ~ways:1);
+                charge_icache stats t.tag_one_pj;
                 1
                 + full_access t stats cache addr
                     ~fill_policy:Cam_cache.Victim_by_policy

@@ -12,14 +12,29 @@ type t = {
       (** entry index of the most recent hit/fill, [-1] when unknown — a
           pure lookup accelerator (fetch streams hit the same page for
           long stretches); never changes any lookup result. *)
+  memo : int array;
+      (** residence memo: page number, masked by [memo_mask] -> the
+          entry the page was last filled into or found in.  A hint that
+          [find] verifies against [pages], so stale slots are harmless
+          and never cleared; not machine state, so not in
+          [fingerprint]. *)
+  memo_mask : int;
+  page_bits : int;
 }
 
 type lookup = { hit : bool; way_placed : bool }
+
+(* Four memo slots per entry, rounded up to a power of two, keep page
+   aliasing in the memo rare. *)
+let memo_slots entries =
+  let rec pow2 k = if k >= 4 * entries then k else pow2 (2 * k) in
+  pow2 1
 
 let create ~entries ~page_bytes =
   if entries <= 0 then invalid_arg "Tlb.create: entries must be positive";
   if not (Wp_isa.Addr.is_power_of_two page_bytes) then
     invalid_arg "Tlb.create: page size must be a power of two";
+  let slots = memo_slots entries in
   {
     entries;
     page_bytes;
@@ -29,25 +44,38 @@ let create ~entries ~page_bytes =
     wp_bits = Array.make entries false;
     rr_next = 0;
     last_hit = -1;
+    memo = Array.make slots 0;
+    memo_mask = slots - 1;
+    page_bits = Wp_isa.Addr.log2 page_bytes;
   }
 
 let entries t = t.entries
 let page_bytes t = t.page_bytes
 let page_base t addr = addr land t.page_mask
 
+let memo_slot t page = (page lsr t.page_bits) land t.memo_mask
+
 let find t page =
   (* Entries are unique per page (only misses fill), so answering from
-     the memo is the same answer the scan would give.  Returns the
-     entry index or -1 (allocation-free for the per-fetch path). *)
+     [last_hit] or a verified memo hint is the same answer the scan
+     would give.  Returns the entry index or -1 (allocation-free for
+     the per-fetch path). *)
   let m = t.last_hit in
   if m >= 0 && t.pages.(m) = page then m
   else begin
-    let rec go i =
-      if i >= t.entries then -1
-      else if t.pages.(i) = page then i
-      else go (i + 1)
-    in
-    go 0
+    let slot = memo_slot t page in
+    let h = t.memo.(slot) in
+    if t.pages.(h) = page then h
+    else begin
+      let rec go i =
+        if i >= t.entries then -1
+        else if t.pages.(i) = page then i
+        else go (i + 1)
+      in
+      let i = go 0 in
+      if i >= 0 then t.memo.(slot) <- i;
+      i
+    end
   end
 
 (* Int-encoded translate — bit 0 = hit, bit 1 = way-placement bit —
@@ -74,6 +102,7 @@ let lookup_bits t addr ~wp_bit_of_page =
       t.valid.(victim) <- true;
       t.wp_bits.(victim) <- wp;
       t.last_hit <- victim;
+      t.memo.(memo_slot t page) <- victim;
       if wp then 2 else 0
   | i ->
       t.last_hit <- i;
@@ -92,8 +121,9 @@ let flush t =
 (* Canonical fingerprint for the steady-state fast-forward detector:
    page and way-placement bit per valid entry (-1/-1 when invalid —
    stale [wp_bits] of invalidated entries are unreachable, since the
-   scan matches on [pages] alone), plus the round-robin cursor and the
-   lookup memo. *)
+   scan matches on [pages] alone), plus the round-robin cursor and
+   [last_hit].  The residence memo is not emitted: it only ever answers
+   what the scan would, so it is not state. *)
 let fingerprint t ~add =
   for i = 0 to t.entries - 1 do
     if t.valid.(i) then begin

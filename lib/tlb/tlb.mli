@@ -7,7 +7,16 @@
     entry, indicating that the page lies inside the way-placement
     area.  The TLB is read in parallel with the instruction cache, so
     the bit is only known {e after} the access; the {!Way_hint} bit
-    predicts it beforehand. *)
+    predicts it beforehand.
+
+    A translation checks the most recently hit entry, then a host-side
+    memo from page number to entry index (four slots per entry, rounded
+    up to a power of two), and only then scans every entry.  A memo
+    answer counts only if that entry holds the page; pages are unique
+    among entries, so a verified hint is exactly the entry the scan
+    would find, and stale slots left by eviction or {!flush} are
+    harmless.  The memo is not machine state: it never changes a lookup
+    result and {!fingerprint} excludes it. *)
 
 type t
 
@@ -46,5 +55,6 @@ val pp : Format.formatter -> t -> unit
 
 val fingerprint : t -> add:(int -> unit) -> unit
 (** Canonical state fingerprint (valid entries' pages and
-    way-placement bits, round-robin cursor, lookup memo) for the
-    steady-state fast-forward detector. *)
+    way-placement bits, round-robin cursor, most recently hit entry)
+    for the steady-state fast-forward detector.  The residence memo is
+    excluded: it never changes a result. *)

@@ -349,25 +349,37 @@ let prop_memo_random_traffic =
       done;
       true)
 
-(* Oracle equivalence: an independent reference model of a round-robin
-   set-associative cache must agree with Cam_cache on every hit/miss
-   and on the full contents, under arbitrary traffic. *)
+(* Oracle equivalence: an independent reference model of a
+   set-associative cache (round-robin or LRU) must agree with Cam_cache
+   on every hit/miss, fill way, eviction and on the full contents,
+   under arbitrary traffic. *)
 module Oracle = struct
-  type t = {
-    assoc : int;
-    sets : (int option array * int ref) array;  (** tags per way, rr cursor *)
+  type set = {
+    ways : int option array;  (** tag per way *)
+    stamp : int array;  (** last-use time per way (LRU) *)
+    mutable cursor : int;  (** round-robin cursor *)
   }
 
-  let create g =
+  type t = { assoc : int; lru : bool; sets : set array; mutable clock : int }
+
+  let create ~lru g =
+    let assoc = g.Geometry.assoc in
     {
-      assoc = g.Geometry.assoc;
+      assoc;
+      lru;
       sets =
         Array.init (Geometry.sets g) (fun _ ->
-            (Array.make g.Geometry.assoc None, ref 0));
+            { ways = Array.make assoc None; stamp = Array.make assoc 0; cursor = 0 });
+      clock = 0;
     }
 
+  let touch t s w =
+    t.clock <- t.clock + 1;
+    s.stamp.(w) <- t.clock
+
+  (* Pure residence check. *)
   let lookup t ~set ~tag =
-    let ways, _ = t.sets.(set) in
+    let ways = t.sets.(set).ways in
     let rec go w =
       if w >= t.assoc then None
       else if ways.(w) = Some tag then Some w
@@ -375,58 +387,153 @@ module Oracle = struct
     in
     go 0
 
-  let fill t ~set ~tag =
-    match lookup t ~set ~tag with
+  (* Full lookup: a hit refreshes the line's age. *)
+  let access t ~set ~tag =
+    let r = lookup t ~set ~tag in
+    Option.iter (touch t t.sets.(set)) r;
+    r
+
+  (* Single-way probe: hits only if the line sits in [way]. *)
+  let access_way t ~set ~tag ~way =
+    let s = t.sets.(set) in
+    let hit = s.ways.(way) = Some tag in
+    if hit then touch t s way;
+    hit
+
+  let victim t s =
+    let rec invalid w =
+      if w >= t.assoc then None
+      else if s.ways.(w) = None then Some w
+      else invalid (w + 1)
+    in
+    match invalid 0 with
     | Some w -> w
+    | None when t.lru ->
+        let best = ref 0 in
+        Array.iteri (fun w st -> if st < s.stamp.(!best) then best := w) s.stamp;
+        !best
     | None ->
-        let ways, cursor = t.sets.(set) in
-        let rec invalid w =
-          if w >= t.assoc then None
-          else if ways.(w) = None then Some w
-          else invalid (w + 1)
-        in
-        let w =
-          match invalid 0 with
-          | Some w -> w
-          | None ->
-              let w = !cursor in
-              cursor := (w + 1) mod t.assoc;
-              w
-        in
-        ways.(w) <- Some tag;
+        let w = s.cursor in
+        s.cursor <- (w + 1) mod t.assoc;
         w
+
+  (* The way used and the evicted tag, if any; [forced] pins the way
+     of an absent line. *)
+  let fill ?forced t ~set ~tag =
+    let s = t.sets.(set) in
+    match lookup t ~set ~tag with
+    | Some w ->
+        touch t s w;
+        (w, None)
+    | None ->
+        let w = match forced with Some w -> w | None -> victim t s in
+        let evicted = s.ways.(w) in
+        s.ways.(w) <- Some tag;
+        touch t s w;
+        (w, evicted)
+
+  let invalidate t ~set ~way = t.sets.(set).ways.(way) <- None
+
+  let flush t =
+    Array.iter
+      (fun s ->
+        Array.fill s.ways 0 t.assoc None;
+        Array.fill s.stamp 0 t.assoc 0;
+        s.cursor <- 0)
+      t.sets;
+    t.clock <- 0
 end
 
+(* Besides uniform traffic, half the addresses come from a pool of
+   lines that share one set {e and} one residence-memo slot: their line
+   numbers differ by multiples of [Geometry.lines g], the memo size.  So
+   the memo is constantly overwritten and left stale by evictions,
+   invalidations and flushes, and every answer it gives must still be
+   the scan's. *)
 let prop_cam_matches_oracle =
-  QCheck.Test.make ~name:"Cam_cache agrees with a reference model" ~count:60
-    QCheck.(pair (int_bound 100_000) (int_range 100 600))
-    (fun (seed, steps) ->
+  QCheck.Test.make ~name:"Cam_cache agrees with a reference model" ~count:80
+    QCheck.(triple (int_bound 100_000) (int_range 100 600) bool)
+    (fun (seed, steps, lru) ->
       let g = Geometry.make ~size_bytes:512 ~assoc:4 ~line_bytes:16 in
-      let cam = Cam.create g ~replacement:Replacement.Round_robin in
-      let oracle = Oracle.create g in
+      let assoc = g.Geometry.assoc and lines = Geometry.lines g in
+      let replacement = if lru then Replacement.Lru else Replacement.Round_robin in
+      let cam = Cam.create g ~replacement in
+      let oracle = Oracle.create ~lru g in
       let rng = Rng.create seed in
+      let hot = Rng.int rng lines in
+      let pick () =
+        if Rng.bool rng ~p:0.5 then
+          ((hot + (lines * Rng.int rng (2 * assoc))) * g.Geometry.line_bytes)
+          + (Rng.int rng (g.Geometry.line_bytes / 4) * 4)
+        else Rng.int rng 4096 * 4
+      in
       let ok = ref true in
+      let agree a b = if a <> b then ok := false in
       for _ = 1 to steps do
-        let addr = Rng.int rng 4096 * 4 in
+        let addr = pick () in
         let set = Geometry.set_index g addr and tag = Geometry.tag_of g addr in
-        let cam_hit = (Cam.lookup_full cam addr).Cam.hit in
-        let oracle_hit = Oracle.lookup oracle ~set ~tag <> None in
-        if cam_hit <> oracle_hit then ok := false;
-        let cam_way, _ = Cam.fill cam addr Cam.Victim_by_policy in
-        let oracle_way = Oracle.fill oracle ~set ~tag in
-        if cam_way <> oracle_way then ok := false
+        match Rng.int rng 16 with
+        | 0 ->
+            Cam.flush cam;
+            Oracle.flush oracle
+        | 1 | 2 ->
+            let way = Rng.int rng assoc in
+            Cam.invalidate cam ~set ~way;
+            Oracle.invalidate oracle ~set ~way
+        | 3 | 4 ->
+            let way = Rng.int rng assoc in
+            agree (Cam.lookup_way cam addr ~way).Cam.hit
+              (Oracle.access_way oracle ~set ~tag ~way)
+        | 5 | 6 ->
+            let way = Rng.int rng assoc in
+            let cam_way, cam_ev = Cam.fill cam addr (Cam.Forced_way way) in
+            let oracle_way, oracle_ev = Oracle.fill ~forced:way oracle ~set ~tag in
+            agree cam_way oracle_way;
+            agree (Option.map (fun e -> e.Cam.tag) cam_ev) oracle_ev
+        | 7 -> agree (Cam.probe cam addr) (Oracle.lookup oracle ~set ~tag)
+        | _ ->
+            let r = Cam.lookup_full cam addr in
+            let oracle_hit = Oracle.access oracle ~set ~tag in
+            agree (if r.Cam.hit then Some r.Cam.way else None) oracle_hit;
+            let cam_way, cam_ev = Cam.fill cam addr Cam.Victim_by_policy in
+            let oracle_way, oracle_ev = Oracle.fill oracle ~set ~tag in
+            agree cam_way oracle_way;
+            agree (Option.map (fun e -> e.Cam.tag) cam_ev) oracle_ev
       done;
       (* Final contents agree exactly. *)
       for set = 0 to Geometry.sets g - 1 do
-        let ways, _ = oracle.Oracle.sets.(set) in
         let cam_tags = Cam.resident_tags cam ~set in
         Array.iteri
-          (fun w tag ->
-            let cam_tag = List.assoc_opt w cam_tags in
-            if tag <> cam_tag then ok := false)
-          ways
+          (fun w tag -> agree tag (List.assoc_opt w cam_tags))
+          oracle.Oracle.sets.(set).Oracle.ways
       done;
       !ok)
+
+let fingerprint_of cam =
+  let words = ref [] in
+  Cam.fingerprint cam ~add:(fun w -> words := w :: !words);
+  List.rev !words
+
+(* The residence memo is not machine state: caches that hold the same
+   lines, MRU ways and cursors fingerprint equal however their memos
+   were left.  x, y and z share a set and a memo slot, which ends up
+   naming y's way in [a] and z's in [b]. *)
+let test_cam_memo_not_in_fingerprint () =
+  let g = Geometry.make ~size_bytes:512 ~assoc:4 ~line_bytes:16 in
+  let stride = Geometry.lines g * g.Geometry.line_bytes in
+  let x = 0x40 and y = 0x40 + stride and z = 0x40 + (2 * stride) in
+  let make () =
+    let cam = Cam.create g ~replacement:Replacement.Round_robin in
+    List.iter (fun a -> ignore (Cam.fill cam a Cam.Victim_by_policy)) [ x; y; z ];
+    cam
+  in
+  let a = make () and b = make () in
+  ignore (Cam.probe a x);
+  ignore (Cam.lookup_full a y);
+  ignore (Cam.lookup_full b x);
+  ignore (Cam.lookup_full b y);
+  ignore (Cam.probe b z);
+  Alcotest.(check (list int)) "equal fingerprints" (fingerprint_of a) (fingerprint_of b)
 
 (* --- Way_predict --- *)
 
@@ -573,6 +680,8 @@ let () =
           Alcotest.test_case "same tag different sets" `Quick test_cam_same_tag_different_sets;
           QCheck_alcotest.to_alcotest prop_cam_no_duplicates;
           QCheck_alcotest.to_alcotest prop_cam_matches_oracle;
+          Alcotest.test_case "memo not in fingerprint" `Quick
+            test_cam_memo_not_in_fingerprint;
         ] );
       ( "way_predict",
         [

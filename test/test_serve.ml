@@ -421,20 +421,32 @@ let test_store_corruption_recovery () =
 
 let test_store_shared_directory () =
   with_store_dir (fun dir ->
-      let a = ok_or_fail "store a" (Store.create ~dir ()) in
-      let b = ok_or_fail "store b" (Store.create ~dir ()) in
       let entries = Lazy.force fresh_stats in
       let key0, stats0 = List.nth entries 0 in
       let key1, stats1 = List.nth entries 1 in
-      (* concurrent same-key writes from both stores race benignly *)
-      let t1 = Thread.create (fun () -> Store.put a key0 stats0) () in
-      let t2 = Thread.create (fun () -> Store.put b key0 stats0) () in
-      Thread.join t1;
-      Thread.join t2;
-      Store.put b key1 stats1;
-      Alcotest.(check int) "no write failures"
-        0
-        (Store.write_failures a + Store.write_failures b);
+      (* Concurrent same-key writes from two stores race benignly.  Each
+         round opens two fresh stores on the directory, removes the
+         entry so both really write it, and releases both writers at
+         once, each on its own domain. *)
+      let write_both () =
+        let a = ok_or_fail "store a" (Store.create ~dir ()) in
+        let b = ok_or_fail "store b" (Store.create ~dir ()) in
+        (try Sys.remove (Filename.concat dir key0) with Sys_error _ -> ());
+        let ready = Atomic.make 0 in
+        let writer store () =
+          Atomic.incr ready;
+          while Atomic.get ready < 2 do
+            Domain.cpu_relax ()
+          done;
+          Store.put store key0 stats0
+        in
+        List.iter Domain.join (List.map (fun s -> Domain.spawn (writer s)) [ a; b ]);
+        Store.write_failures a + Store.write_failures b
+      in
+      let failures = List.fold_left (fun n () -> n + write_both ()) 0 (List.init 50 ignore) in
+      let a = ok_or_fail "store a" (Store.create ~dir ()) in
+      Store.put a key1 stats1;
+      Alcotest.(check int) "no write failures" 0 (failures + Store.write_failures a);
       Alcotest.(check int) "both keys on disk" 2 (Store.disk_entries a);
       (* no temporary droppings left behind *)
       let leftovers =
@@ -442,7 +454,7 @@ let test_store_shared_directory () =
         |> List.filter (fun e -> String.length e >= 4 && String.sub e 0 4 = ".tmp")
       in
       Alcotest.(check (list string)) "no tmp files" [] leftovers;
-      (* each store still reads back an intact entry *)
+      (* a fresh store reads back an intact entry from disk *)
       match Store.find a key0 with
       | Some (got, _) -> check_stats_identical "shared dir read" stats0 got
       | None -> Alcotest.fail "entry missing after shared writes")

@@ -58,6 +58,94 @@ let test_tlb_wp_callback_gets_page_base () =
          false));
   Alcotest.(check int) "callback argument is the page base" 0x1400 !seen
 
+(* Reference model: entries as an association list from index to
+   (page, way-placement bit), filled into the lowest free index, else
+   the round-robin cursor. *)
+module Model = struct
+  type t = { entries : int; mutable slots : (int * (int * bool)) list; mutable cursor : int }
+
+  let create entries = { entries; slots = []; cursor = 0 }
+
+  let lookup t page ~wp =
+    match List.find_opt (fun (_, (p, _)) -> p = page) t.slots with
+    | Some (_, (_, bit)) -> (true, bit)
+    | None ->
+        let free = List.init t.entries Fun.id |> List.filter (fun i -> not (List.mem_assoc i t.slots)) in
+        let victim =
+          match free with
+          | i :: _ -> i
+          | [] ->
+              let i = t.cursor in
+              t.cursor <- (i + 1) mod t.entries;
+              i
+        in
+        let bit = wp page in
+        t.slots <- (victim, (page, bit)) :: List.remove_assoc victim t.slots;
+        (false, bit)
+
+  let flush t =
+    t.slots <- [];
+    t.cursor <- 0
+end
+
+(* Half the pages come from a pool that aliases in the residence memo
+   (page numbers [4 * entries] apart, the memo size for these power-of-two
+   entry counts), so the memo is constantly overwritten and left stale by
+   evictions and flushes; the TLB must still answer as the model does. *)
+let prop_tlb_matches_model =
+  QCheck.Test.make ~name:"Tlb agrees with a reference model" ~count:100
+    QCheck.(triple (int_bound 100_000) (int_range 50 500) (int_range 0 3))
+    (fun (seed, steps, log_entries) ->
+      let entries = 1 lsl log_entries and page_bytes = 1024 in
+      let t = Tlb.create ~entries ~page_bytes in
+      let model = Model.create entries in
+      let wp page = (page / page_bytes) mod 3 = 0 in
+      let rng = Wayplace.Workloads.Rng.create seed in
+      let int = Wayplace.Workloads.Rng.int rng in
+      let hot = int 64 in
+      let ok = ref true in
+      for _ = 1 to steps do
+        if int 32 = 0 then begin
+          Tlb.flush t;
+          Model.flush model
+        end
+        else begin
+          let page =
+            if int 2 = 0 then hot + (4 * entries * int (3 * entries)) else int 256
+          in
+          let addr = (page * page_bytes) + (int (page_bytes / 4) * 4) in
+          let r = Tlb.lookup t addr ~wp_bit_of_page:wp in
+          let hit, bit = Model.lookup model (page * page_bytes) ~wp in
+          if r.Tlb.hit <> hit || r.Tlb.way_placed <> bit then ok := false
+        end
+      done;
+      !ok && Tlb.valid_entries t = List.length model.Model.slots)
+
+let fingerprint_of t =
+  let words = ref [] in
+  Tlb.fingerprint t ~add:(fun w -> words := w :: !words);
+  List.rev !words
+
+(* The residence memo is not machine state: TLBs holding the same
+   entries, cursor and last hit fingerprint equal however their memos
+   were left.  x and y share a memo slot (4 entries, 16 slots), which
+   ends up naming x's entry in [a] and y's in [b]; w lies elsewhere. *)
+let test_tlb_memo_not_in_fingerprint () =
+  let page_bytes = 1024 in
+  let x = 0x400 and y = 0x400 + (16 * page_bytes) and w = 0x800 in
+  let touch t addr = ignore (Tlb.lookup t addr ~wp_bit_of_page:(fun _ -> false)) in
+  let make () =
+    let t = Tlb.create ~entries:4 ~page_bytes in
+    List.iter (touch t) [ x; y; w ];
+    t
+  in
+  let a = make () and b = make () in
+  touch a x;
+  touch a w;
+  touch b y;
+  touch b w;
+  Alcotest.(check (list int)) "equal fingerprints" (fingerprint_of a) (fingerprint_of b)
+
 (* --- Way_hint --- *)
 
 let test_hint_initial () =
@@ -122,6 +210,9 @@ let () =
           Alcotest.test_case "round-robin eviction" `Quick test_tlb_round_robin_eviction;
           Alcotest.test_case "flush" `Quick test_tlb_flush;
           Alcotest.test_case "callback argument" `Quick test_tlb_wp_callback_gets_page_base;
+          QCheck_alcotest.to_alcotest prop_tlb_matches_model;
+          Alcotest.test_case "memo not in fingerprint" `Quick
+            test_tlb_memo_not_in_fingerprint;
         ] );
       ( "way_hint",
         [
