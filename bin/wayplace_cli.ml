@@ -525,7 +525,8 @@ let marker_to_string = function
   | Sampler.Flush { cycle } -> Printf.sprintf "flush@%d" cycle
   | Sampler.Switch { cycle; next } -> Printf.sprintf "switch@%d=p%d" cycle next
 
-let print_timeline windows =
+let print_timeline ~config windows =
+  let prices = Wayplace.Sim.Config.prices config in
   Printf.printf "%-6s %10s %10s %8s %6s %8s %8s %12s %s\n" "window" "start"
     "end" "retired" "ipc" "fetches" "misses" "total_pj" "markers";
   List.iter
@@ -534,7 +535,8 @@ let print_timeline windows =
         w.Sampler.index w.Sampler.start_cycle w.Sampler.end_cycle
         w.Sampler.retired (Sampler.ipc w) (Sampler.fetches w)
         (Sampler.get w Sampler.Counter.Icache_misses)
-        (Array.fold_left ( +. ) 0.0 w.Sampler.energy_pj)
+        (Array.fold_left ( +. ) 0.0
+           (Wayplace.Sim.Timeline.window_energy prices w))
         (String.concat " " (List.map marker_to_string w.Sampler.markers)))
     windows
 
@@ -562,19 +564,19 @@ let timeline_cmd benchmark scheme area size ways line window csv_out chrome_out
       (List.length windows) window stats.Sim_stats.cycles
       stats.Sim_stats.retired_instrs
       (Sim_stats.total_energy_pj stats);
-    if csv_out = None && chrome_out = None then print_timeline windows;
+    if csv_out = None && chrome_out = None then print_timeline ~config windows;
     let* () =
       match csv_out with
       | None -> Ok ()
       | Some path ->
-          let* () = Wayplace.Sim.Timeline.write_csv ~path windows in
+          let* () = Wayplace.Sim.Timeline.write_csv ~config ~path windows in
           Printf.printf "wrote %s (%d windows)\n%!" path (List.length windows);
           Ok ()
     in
     match chrome_out with
     | None -> Ok ()
     | Some path ->
-        let* () = Wayplace.Sim.Timeline.write_chrome ~path windows in
+        let* () = Wayplace.Sim.Timeline.write_chrome ~config ~path windows in
         Printf.printf "wrote %s (load in chrome://tracing or Perfetto)\n%!"
           path;
         Ok ()
@@ -1422,7 +1424,7 @@ let mp_cmd mix_s coverage quantum no_kernel btb drowsy sched scheme area size
         let sampler = Sampler.create ~window_cycles:window () in
         ignore (Mp.Machine.run ~probe:(Sampler.probe sampler) ~config ~options mix);
         let windows = Sampler.finish sampler in
-        let* () = Wayplace.Sim.Timeline.write_chrome ~path windows in
+        let* () = Wayplace.Sim.Timeline.write_chrome ~config ~path windows in
         Printf.printf
           "wrote %s (%d windows, context switches as instant events)\n%!" path
           (List.length windows);

@@ -2,11 +2,10 @@ type t = {
   geometry : Geometry.t;
   window : int;
   last_access : int array;  (** -1 = never accessed (always drowsy) *)
-  mutable accounted_awake : float;
+  mutable accounted_awake : int;
       (** awake line-ticks accumulated for completed inter-access gaps *)
   mutable recorder : (int -> unit) option;
-      (** observes every awake increment (the integer tick count whose
-          [float_of_int] is added to [accounted_awake]), in order — the
+      (** observes every increment of [accounted_awake] — the
           fast-forward engine records one iteration's increments and
           replays them with {!replay_awake} *)
   probe : Wp_obs.Probe.t option;
@@ -18,7 +17,7 @@ let create ?probe geometry ~window =
     geometry;
     window;
     last_access = Array.make (Geometry.lines geometry) (-1);
-    accounted_awake = 0.0;
+    accounted_awake = 0;
     recorder = None;
     probe;
   }
@@ -39,7 +38,7 @@ let note_access t ~now ~set ~way =
          comparison, not Stdlib.min (polymorphic compare) on this
          per-access path. *)
       let awake = if gap < t.window then gap else t.window in
-      t.accounted_awake <- t.accounted_awake +. float_of_int awake;
+      t.accounted_awake <- t.accounted_awake + awake;
       (match t.recorder with None -> () | Some r -> r awake);
       gap > t.window
     end
@@ -51,15 +50,15 @@ let note_access t ~now ~set ~way =
 
 let awake_line_ticks t ~now =
   (* Completed gaps plus the open tail of every touched line. *)
-  let tail = ref 0.0 in
+  let tail = ref 0 in
   Array.iter
     (fun last ->
       if last >= 0 then begin
         let gap = now - last in
-        tail := !tail +. float_of_int (if gap < t.window then gap else t.window)
+        tail := !tail + if gap < t.window then gap else t.window
       end)
     t.last_access;
-  t.accounted_awake +. !tail
+  float_of_int (t.accounted_awake + !tail)
 
 let total_line_ticks t ~now =
   float_of_int (Geometry.lines t.geometry) *. float_of_int now
@@ -95,19 +94,14 @@ let advance_touched t ~since ~delta =
     if a.(i) >= since then a.(i) <- a.(i) + delta
   done
 
-(* Replay [iters] repetitions of a recorded iteration's awake
-   increments, in recorded order — bit-identical to the float additions
-   [note_access] would have performed. *)
+(* [iters] repetitions of a recorded iteration's awake increments:
+   integer sums, so exactly what the [note_access] calls would add. *)
 let replay_awake t a ~len ~iters =
-  if len > 0 then begin
-    let acc = ref t.accounted_awake in
-    for _ = 1 to iters do
-      for j = 0 to len - 1 do
-        acc := !acc +. float_of_int (Array.unsafe_get a j)
-      done
-    done;
-    t.accounted_awake <- !acc
-  end
+  let sum = ref 0 in
+  for j = 0 to len - 1 do
+    sum := !sum + a.(j)
+  done;
+  t.accounted_awake <- t.accounted_awake + (iters * !sum)
 
 (* Re-express every touched line's timestamp on a new clock so that its
    inter-access gap — the only behaviourally relevant quantity — is
@@ -130,7 +124,7 @@ let rebase t ~old_now ~new_now =
       if last' >= 0 then a.(i) <- last'
       else begin
         let awake = if gap < t.window then gap else t.window in
-        t.accounted_awake <- t.accounted_awake +. float_of_int awake;
+        t.accounted_awake <- t.accounted_awake + awake;
         (match t.recorder with None -> () | Some r -> r awake);
         a.(i) <- -1
       end
@@ -148,7 +142,7 @@ let sleep_all t ~now =
     if last >= 0 then begin
       let gap = now - last in
       let awake = if gap < t.window then gap else t.window in
-      t.accounted_awake <- t.accounted_awake +. float_of_int awake;
+      t.accounted_awake <- t.accounted_awake + awake;
       (match t.recorder with None -> () | Some r -> r awake);
       a.(i) <- -1
     end
@@ -156,4 +150,4 @@ let sleep_all t ~now =
 
 let reset t =
   Array.fill t.last_access 0 (Array.length t.last_access) (-1);
-  t.accounted_awake <- 0.0
+  t.accounted_awake <- 0

@@ -33,8 +33,7 @@ val total_line_ticks : t -> now:int -> float
 
 val set_recorder : t -> (int -> unit) option -> unit
 (** Install (or clear) an observer of every awake increment: the
-    integer tick count whose [float_of_int] each access adds to the
-    awake accumulator, delivered in accumulation order.  The
+    integer tick count each access adds to the awake accumulator.  The
     fast-forward engine records one loop iteration's increments and
     replays them with {!replay_awake}. *)
 
@@ -53,9 +52,9 @@ val advance_touched : t -> since:int -> delta:int -> unit
 
 val replay_awake : t -> int array -> len:int -> iters:int -> unit
 (** [replay_awake t a ~len ~iters] adds [iters] repetitions of the
-    recorded awake increments [a.(0 .. len-1)] to the awake
-    accumulator, in order — bit-identical to the additions the
-    equivalent {!note_access} calls would have performed. *)
+    recorded awake increments [a.(0 .. len-1)] to the (integer) awake
+    accumulator — exactly what the equivalent {!note_access} calls
+    would have added. *)
 
 val rebase : t -> old_now:int -> new_now:int -> unit
 (** Re-express every touched line's timestamp on a new clock, preserving

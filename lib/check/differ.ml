@@ -58,7 +58,9 @@ let configs_for ~ablations geometry =
 (* The oracle replay: the baseline fetch path re-executed from first
    principles — walk the trace, resolve each pc from the layout, elide
    sequential same-line fetches, send everything else to the naive
-   cache model. *)
+   cache model.  Besides the architectural outcomes it counts the two
+   energy events no other counter fixes: tag ways searched (the ways
+   each lookup precharges) and data words read (one per fetch). *)
 
 type oracle_counts = {
   o_fetches : int;
@@ -66,6 +68,8 @@ type oracle_counts = {
   o_hits : int;
   o_misses : int;
   o_tag_comparisons : int;
+  o_tag_ways : int;
+  o_data_reads : int;
 }
 
 let replay_baseline_oracle ~geometry ~replacement ~elision ~graph ~layout
@@ -73,6 +77,7 @@ let replay_baseline_oracle ~geometry ~replacement ~elision ~graph ~layout
   let cache = Oracle_cache.create geometry ~replacement in
   let fetches = ref 0 and same_line = ref 0 in
   let hits = ref 0 and misses = ref 0 and tag_comparisons = ref 0 in
+  let tag_ways = ref 0 and data_reads = ref 0 in
   let prev = ref (-1) in
   Array.iter
     (fun id ->
@@ -81,11 +86,13 @@ let replay_baseline_oracle ~geometry ~replacement ~elision ~graph ~layout
       for i = 0 to n - 1 do
         let pc = start + (i * Wp_isa.Instr.size_bytes) in
         incr fetches;
+        incr data_reads;
         if elision && !prev >= 0 && Geometry.same_line geometry pc !prev then
           incr same_line
         else begin
           let o = Oracle_cache.lookup_full cache pc in
           tag_comparisons := !tag_comparisons + o.Oracle_cache.tag_comparisons;
+          tag_ways := !tag_ways + o.Oracle_cache.ways_precharged;
           if o.Oracle_cache.hit then incr hits
           else begin
             incr misses;
@@ -101,6 +108,8 @@ let replay_baseline_oracle ~geometry ~replacement ~elision ~graph ~layout
     o_hits = !hits;
     o_misses = !misses;
     o_tag_comparisons = !tag_comparisons;
+    o_tag_ways = !tag_ways;
+    o_data_reads = !data_reads;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -130,6 +139,36 @@ let check_counters ~where (config : Config.t) (s : Stats.t)
     expect "same_line_fetches (elision off)" s.Stats.same_line_fetches 0;
   if s.Stats.cycles < s.Stats.retired_instrs then
     fail "cycles %d < retired %d" s.Stats.cycles s.Stats.retired_instrs;
+  (* The energy events no other counter fixes, tied to the access kinds
+     that cause them: each full search precharges every way, a
+     way-placed access or a wasted hint probe one, a link follow none;
+     every fetch reads one word from the I-cache array (the L0's, on
+     the filter cache). *)
+  let assoc = config.Config.icache.Geometry.assoc in
+  (match config.Config.scheme with
+  | Config.Baseline | Config.Way_memoization ->
+      expect "tag_ways = full * assoc" s.Stats.tag_ways
+        (s.Stats.full_fetches * assoc);
+      expect "data_reads = fetches" s.Stats.data_reads s.Stats.fetches
+  | Config.Way_placement _ ->
+      expect "tag_ways = wp + full * assoc + reaccess" s.Stats.tag_ways
+        (s.Stats.wp_fetches + (s.Stats.full_fetches * assoc)
+       + s.Stats.hint_reaccess);
+      expect "data_reads = fetches" s.Stats.data_reads s.Stats.fetches
+  | Config.Way_prediction ->
+      expect "tag_ways = tag_comparisons" s.Stats.tag_ways
+        s.Stats.tag_comparisons;
+      if
+        s.Stats.data_reads < s.Stats.fetches
+        || s.Stats.data_reads > s.Stats.fetches + s.Stats.waypred_wrong
+      then
+        fail "data_reads = %d outside fetches .. fetches + mispredicts (%d .. %d)"
+          s.Stats.data_reads s.Stats.fetches
+          (s.Stats.fetches + s.Stats.waypred_wrong)
+  | Config.Filter_cache _ ->
+      expect "tag_ways = l0_misses * assoc" s.Stats.tag_ways
+        (s.Stats.l0_misses * assoc);
+      expect "data_reads = l0_misses" s.Stats.data_reads s.Stats.l0_misses);
   (match config.Config.scheme with
   | Config.Baseline ->
       expect "wp_fetches (baseline)" s.Stats.wp_fetches 0;
@@ -164,64 +203,56 @@ let check_counters ~where (config : Config.t) (s : Stats.t)
         non_elided);
   !v
 
-(* Recompute every energy bucket of a baseline run from its counters
-   alone and compare with the simulator's account: the accounting can
-   then never drift from the events it claims to charge for (PR 1's
-   filter-cache bug, caught structurally). *)
-let check_baseline_energy ~where (config : Config.t) (s : Stats.t) =
-  match config.Config.scheme with
-  | Config.Way_placement _ | Config.Way_memoization | Config.Way_prediction
-  | Config.Filter_cache _ ->
-      []
-  | Config.Baseline ->
-      let v = ref [] in
-      let expect name actual expected =
-        if not (rel_close actual expected) then
-          v :=
-            Printf.sprintf "%s: %s = %.6g pJ, recomputed %.6g pJ" where name
-              actual expected
-            :: !v
-      in
-      let p = config.Config.energy in
-      let ie = Wp_energy.Cam_energy.of_geometry p config.Config.icache in
-      let de = Wp_energy.Cam_energy.of_geometry p config.Config.dcache in
-      let assoc = config.Config.icache.Geometry.assoc in
-      let f = float_of_int in
-      let non_elided = s.Stats.fetches - s.Stats.same_line_fetches in
-      let acct = s.Stats.account in
-      expect "icache"
-        (Wp_energy.Account.icache_pj acct)
-        (f non_elided
-         *. (Wp_energy.Cam_energy.tag_search ie ~ways:assoc
-            +. ie.Wp_energy.Cam_energy.data_word_pj)
-        +. (f s.Stats.same_line_fetches *. ie.Wp_energy.Cam_energy.data_word_pj)
-        +. (f s.Stats.icache_misses *. ie.Wp_energy.Cam_energy.line_fill_pj));
-      expect "itlb"
-        (Wp_energy.Account.itlb_pj acct)
-        (f non_elided
-        *. Wp_energy.Cam_energy.tlb_lookup_pj p
-             ~entries:config.Config.itlb_entries
-             ~page_bytes:config.Config.page_bytes);
-      expect "memory"
-        (Wp_energy.Account.memory_pj acct)
-        (f
-           (s.Stats.itlb_misses + s.Stats.dtlb_misses + s.Stats.icache_misses
-          + s.Stats.dcache_misses)
-        *. p.Wp_energy.Params.memory_access_pj);
-      expect "dcache"
-        (Wp_energy.Account.dcache_pj acct)
-        (f s.Stats.dcache_accesses
-         *. (Wp_energy.Cam_energy.tlb_lookup_pj p
-               ~entries:config.Config.dtlb_entries
-               ~page_bytes:config.Config.page_bytes
-            +. Wp_energy.Cam_energy.tag_search de
-                 ~ways:config.Config.dcache.Geometry.assoc
-            +. de.Wp_energy.Cam_energy.data_word_pj)
-        +. (f s.Stats.dcache_misses *. de.Wp_energy.Cam_energy.line_fill_pj));
-      expect "core"
-        (Wp_energy.Account.core_pj acct)
-        (f s.Stats.cycles *. p.Wp_energy.Params.core_rest_pj_per_cycle);
-      !v
+(* Recompute every energy bucket of a baseline run by hand, from the
+   oracle's own counts for the I-side and the run's counters for the
+   rest, and compare with the run's priced buckets: the pricing can
+   then never drift from the events it claims to charge for, and an
+   I-cache event the simulator forgets to count shows up here as well
+   as in the count check. *)
+let check_baseline_energy ~where (config : Config.t) (s : Stats.t) o =
+  let v = ref [] in
+  let expect name actual expected =
+    if not (rel_close actual expected) then
+      v :=
+        Printf.sprintf "%s: %s = %.6g pJ, recomputed %.6g pJ" where name actual
+          expected
+        :: !v
+  in
+  let p = config.Config.energy in
+  let ie = Wp_energy.Cam_energy.of_geometry p config.Config.icache in
+  let de = Wp_energy.Cam_energy.of_geometry p config.Config.dcache in
+  let f = float_of_int in
+  let bucket b = Stats.energy_pj s b in
+  expect "icache"
+    (bucket Wp_energy.Price.Icache)
+    ((f o.o_tag_ways *. Wp_energy.Cam_energy.tag_search ie ~ways:1)
+    +. (f o.o_data_reads *. ie.Wp_energy.Cam_energy.data_word_pj)
+    +. (f o.o_misses *. ie.Wp_energy.Cam_energy.line_fill_pj));
+  expect "itlb"
+    (bucket Wp_energy.Price.Itlb)
+    (f (o.o_fetches - o.o_same_line)
+    *. Wp_energy.Cam_energy.tlb_lookup_pj p ~entries:config.Config.itlb_entries
+         ~page_bytes:config.Config.page_bytes);
+  expect "memory"
+    (bucket Wp_energy.Price.Memory)
+    (f
+       (s.Stats.itlb_misses + s.Stats.dtlb_misses + o.o_misses
+      + s.Stats.dcache_misses)
+    *. p.Wp_energy.Params.memory_access_pj);
+  expect "dcache"
+    (bucket Wp_energy.Price.Dcache)
+    ((f s.Stats.dcache_accesses
+     *. (Wp_energy.Cam_energy.tlb_lookup_pj p
+           ~entries:config.Config.dtlb_entries
+           ~page_bytes:config.Config.page_bytes
+        +. Wp_energy.Cam_energy.tag_search de
+             ~ways:config.Config.dcache.Geometry.assoc
+        +. de.Wp_energy.Cam_energy.data_word_pj))
+    +. (f s.Stats.dcache_misses *. de.Wp_energy.Cam_energy.line_fill_pj));
+  expect "core"
+    (bucket Wp_energy.Price.Core)
+    (f s.Stats.cycles *. p.Wp_energy.Params.core_rest_pj_per_cycle);
+  !v
 
 let check_oracle ~where (config : Config.t) (s : Stats.t) ~graph ~layout ~trace =
   match config.Config.scheme with
@@ -247,7 +278,9 @@ let check_oracle ~where (config : Config.t) (s : Stats.t) ~graph ~layout ~trace 
       expect "icache_hits" s.Stats.icache_hits o.o_hits;
       expect "icache_misses" s.Stats.icache_misses o.o_misses;
       expect "tag_comparisons" s.Stats.tag_comparisons o.o_tag_comparisons;
-      !v
+      expect "tag_ways" s.Stats.tag_ways o.o_tag_ways;
+      expect "data_reads" s.Stats.data_reads o.o_data_reads;
+      !v @ check_baseline_energy ~where config s o
 
 (* Equalities between two runs of the same program. *)
 let expect_same ~where results pairs fields =
@@ -307,9 +340,8 @@ let check_cross ~where results =
 (* Probe invariance: observability must be read-only.  Rerunning a grid
    cell with a sampler attached has to leave the statistics
    bit-identical, and the sampler's own aggregates have to reproduce
-   them — counter sums exactly, retired/cycles exactly, and cumulative
-   per-bucket energy bit-for-bit (the sampler mirrors the account's
-   additions in order). *)
+   them — counter sums exactly, retired/cycles exactly, and the windows'
+   summed counts, priced, per-bucket energy bit-for-bit. *)
 
 module Sampler = Wp_obs.Sampler
 
@@ -326,6 +358,8 @@ let counter_stat (s : Stats.t) = function
   | Sampler.Counter.L0_hits -> Some s.Stats.l0_hits
   | Sampler.Counter.L0_misses -> Some s.Stats.l0_misses
   | Sampler.Counter.Tag_comparisons -> Some s.Stats.tag_comparisons
+  | Sampler.Counter.Tag_ways -> Some s.Stats.tag_ways
+  | Sampler.Counter.Data_reads -> Some s.Stats.data_reads
   | Sampler.Counter.Hint_correct_wp -> Some s.Stats.hint_correct_wp
   | Sampler.Counter.Hint_correct_normal -> Some s.Stats.hint_correct_normal
   | Sampler.Counter.Hint_missed_saving -> Some s.Stats.hint_missed_saving
@@ -340,13 +374,6 @@ let counter_stat (s : Stats.t) = function
   | Sampler.Counter.Dcache_accesses -> Some s.Stats.dcache_accesses
   | Sampler.Counter.Dcache_misses -> Some s.Stats.dcache_misses
   | Sampler.Counter.Line_fills | Sampler.Counter.Evictions -> None
-
-let bucket_total acct = function
-  | Wp_obs.Probe.Icache -> Wp_energy.Account.icache_pj acct
-  | Wp_obs.Probe.Itlb -> Wp_energy.Account.itlb_pj acct
-  | Wp_obs.Probe.Dcache -> Wp_energy.Account.dcache_pj acct
-  | Wp_obs.Probe.Memory -> Wp_energy.Account.memory_pj acct
-  | Wp_obs.Probe.Core -> Wp_energy.Account.core_pj acct
 
 let check_probe ~where prepared (config : Config.t) (s : Stats.t) =
   (* A short window so generated programs still produce several
@@ -392,15 +419,15 @@ let check_probe ~where prepared (config : Config.t) (s : Stats.t) =
           if last.Sampler.end_cycle <> probed.Stats.cycles then
             fail "last window ends at cycle %d, stats say %d"
               last.Sampler.end_cycle probed.Stats.cycles);
-      let cum = Sampler.final_cum_energy windows in
+      let cum = Wp_sim.Timeline.total_energy (Config.prices config) windows in
       List.iter
         (fun b ->
-          let actual = cum.(Wp_obs.Probe.bucket_index b) in
-          let expected = bucket_total probed.Stats.account b in
+          let actual = cum.(Wp_energy.Price.bucket_index b) in
+          let expected = Stats.energy_pj probed b in
           if not (Float.equal actual expected) then
-            fail "cumulative %s = %.9g pJ, account says %.9g pJ"
-              (Wp_obs.Probe.bucket_name b) actual expected)
-        Wp_obs.Probe.buckets;
+            fail "windows priced %s = %.9g pJ, stats say %.9g pJ"
+              (Wp_energy.Price.bucket_name b) actual expected)
+        Wp_energy.Price.buckets;
       !v
 
 (* The tentpole invariant of the block-batched fast path: for every
@@ -773,7 +800,6 @@ let check_spec ?(geometries = default_geometries) spec =
                    in
                    check_counters ~where config stats trace
                    @ check_fastpath ~where prepared config stats
-                   @ check_baseline_energy ~where config stats
                    @ check_oracle ~where config stats ~graph ~layout ~trace
                    (* probed rerun doubles the cell's cost: first
                       geometry only *)

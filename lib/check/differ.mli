@@ -11,13 +11,14 @@
 
     - {b oracle equality} — every baseline run's fetch stream is
       replayed through {!Oracle_cache}; fetches, same-line elisions,
-      hits, misses and tag comparisons must match exactly (both
-      replacement policies, elision on and off);
+      hits, misses, tag comparisons, tag ways searched and data words
+      read must match exactly (both replacement policies, elision on
+      and off), and the run's energy buckets must agree with a
+      hand-written recount from the oracle's own counts;
     - {b conservation laws} — fetches partition into same-line +
       way-placed + full + link-follows; hits + misses equal the tag
-      checks; per-scheme counters partition their access modes; the
-      baseline's energy buckets are recomputed from its counters and
-      must agree with the simulator's account;
+      checks; per-scheme counters partition their access modes; tag
+      ways and data reads follow from each scheme's access kinds;
     - {b metamorphic equalities} — retired instructions, fetches and
       the whole data side are identical across {e all} schemes and
       layouts (way-placement changes placement, never execution);
@@ -28,8 +29,8 @@
       {!Wp_obs.Sampler} attached leaves the statistics bit-identical
       ({!Wp_sim.Stats.equal}), and the sampler's window sums reproduce
       them: every mirrored counter exactly, retired instructions and
-      final cycle count exactly, cumulative per-bucket energy
-      bit-for-bit;
+      final cycle count exactly, and the windows' summed counts,
+      priced, the run's energy buckets bit-for-bit;
     - {b multiprogramming laws} — an infinite-quantum, kernel-free
       single-process {!Wp_mp.Machine} run is [Stats.equal] to the
       cell's own [Simulator.run] (the mp identity oracle, every cell of

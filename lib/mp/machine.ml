@@ -7,7 +7,6 @@ module Compiled_trace = Wp_sim.Compiled_trace
 module Fetch_engine = Wp_sim.Fetch_engine
 module Dmem = Wp_sim.Dmem
 module Data_stream = Wp_sim.Data_stream
-module Account = Wp_energy.Account
 module Btb = Wp_pipeline.Btb
 module Tracer = Wp_workloads.Tracer
 module Codegen = Wp_workloads.Codegen
@@ -209,13 +208,6 @@ let run ?probe ?(reference_only = false) ?fastforward
            ~seed:Kernel.spec.Wp_workloads.Spec.seed ~stats:system k.Kernel.compiled)
     end
   in
-  (match probe with
-  | None -> ()
-  | Some p ->
-      Array.iter
-        (fun st -> Account.set_probe st.stats.Stats.account (Some p))
-        procs;
-      Account.set_probe system.Stats.account (Some p));
   let engine = Fetch_engine.create ?probe config ~code_base:Simulator.code_base in
   let dmem = Dmem.create ?probe config in
   let btb = Btb.create ~entries:config.btb_entries in
@@ -574,7 +566,7 @@ let run ?probe ?(reference_only = false) ?fastforward
      awake, whichever process issued it); align the drowsy state to it
      before finalising into the system account.  With a single process
      and no kernel the clock is already there — no rebase, and the
-     charges are bit-identical to [Simulator.run]'s. *)
+     leakage is bit-identical to [Simulator.run]'s. *)
   let agg_fetches =
     Array.fold_left
       (fun acc p -> acc + p.stats.Stats.fetches)
@@ -583,42 +575,28 @@ let run ?probe ?(reference_only = false) ?fastforward
   if !clock.Stats.fetches <> agg_fetches then
     Fetch_engine.drowsy_rebase engine ~old_now:!clock.Stats.fetches
       ~new_now:agg_fetches;
-  Fetch_engine.finalize engine system ~cycles:!m_cycles
-    ~now_fetches:agg_fetches;
-  let core_rest = config.energy.Wp_energy.Params.core_rest_pj_per_cycle in
-  Array.iter
-    (fun p ->
-      Account.add_core p.stats.Stats.account
-        (core_rest *. float_of_int p.cycles))
-    procs;
-  Account.add_core system.Stats.account
-    (core_rest *. float_of_int system.Stats.cycles);
-  (* Aggregate = per-process totals + system, bucket by bucket and
-     counter by counter — attribution sums to the aggregate exactly (a
-     conservation law the differ asserts), and for a single process
-     with no kernel the sums reduce to the process's own values plus
-     the system-side leakage, bit-identical to [Simulator.run]. *)
+  let leakage_pj =
+    Fetch_engine.leakage_pj engine system ~cycles:!m_cycles
+      ~now_fetches:agg_fetches
+  in
+  (* Aggregate = per-process totals + system, counter by counter —
+     attribution sums to the aggregate exactly (a conservation law the
+     differ asserts).  Each account is priced from its own counts, the
+     leakage landing in the system's and the aggregate's; for a single
+     process with no kernel the aggregate's counts are the process's
+     own, so its energy is bit-identical to [Simulator.run]'s. *)
   let aggregate = Stats.create () in
   let zero = Stats.snapshot_ints (Stats.create ()) in
   let add_into st =
     Stats.add_scaled_delta aggregate ~before:zero
-      ~after:(Stats.snapshot_ints st) ~times:1;
-    let a = aggregate.Stats.account and b = st.Stats.account in
-    Account.add_icache a (Account.icache_pj b);
-    Account.add_itlb a (Account.itlb_pj b);
-    Account.add_dcache a (Account.dcache_pj b);
-    Account.add_memory a (Account.memory_pj b);
-    Account.add_core a (Account.core_pj b)
+      ~after:(Stats.snapshot_ints st) ~times:1
   in
   Array.iter (fun p -> add_into p.stats) procs;
   add_into system;
-  (match probe with
-  | None -> ()
-  | Some _ ->
-      Array.iter
-        (fun st -> Account.set_probe st.stats.Stats.account None)
-        procs;
-      Account.set_probe system.Stats.account None);
+  let prices = Config.prices config in
+  Array.iter (fun p -> Stats.price p.stats prices ~leakage_pj:0.0) procs;
+  Stats.price system prices ~leakage_pj;
+  Stats.price aggregate prices ~leakage_pj;
   {
     aggregate;
     processes =

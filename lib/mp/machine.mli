@@ -8,7 +8,8 @@
     processes pollute each other's ways.  Per process the machine keeps
     the compiled image (laid out at a private page-aligned base, so
     address windows never overlap), a data stream, and a {!Wp_sim.Stats.t}
-    receiving every counter bump and energy charge the process causes.
+    receiving every counter bump (energy events included) the process
+    causes; each account is priced from its own counts at the end.
 
     A context switch costs: the interrupt-handler kernel ({!Kernel},
     charged to the system account), a full I-TLB + D-TLB shootdown (no
@@ -93,8 +94,8 @@ val run :
   result
 (** Run the mix to completion (every process drains its trace).
     [probe] observes the machine-wide event stream — counter events
-    from the shared engine, per-process and system energy, cumulative
-    machine [Retire] ticks, and a [Context_switch] marker per switch —
+    from the shared engine, the end-of-run leakage, cumulative machine
+    [Retire] ticks, and a [Context_switch] marker per switch —
     and forces the reference loop.
 
     On the fast path each user process carries a resumable

@@ -2,13 +2,13 @@ type fetch_kind = Same_line | Way_placed | Full | Link_follow
 
 type hint_outcome = Correct_wp | Correct_normal | Missed_saving | Reaccess
 
-type bucket = Icache | Itlb | Dcache | Memory | Core
-
 type event =
   | Fetch of fetch_kind
   | Icache_access of { hit : bool }
   | L0_access of { hit : bool }
   | Tag_comparisons of int
+  | Tag_ways of int
+  | Data_reads of int
   | Tag_search of { ways : int }
   | Line_fill of { evicted : bool }
   | Hint of hint_outcome
@@ -19,7 +19,7 @@ type event =
   | Itlb_miss
   | Dtlb_miss
   | Dcache_access of { miss : bool }
-  | Energy of { bucket : bucket; pj : float }
+  | Leakage of { pj : float }
   | Retire of { cycles : int; instrs : int }
   | Resize of { area_bytes : int }
   | Flush
@@ -29,22 +29,6 @@ type t = event -> unit
 
 let ignore_event (_ : event) = ()
 let null : t = ignore_event
-
-let bucket_name = function
-  | Icache -> "icache"
-  | Itlb -> "itlb"
-  | Dcache -> "dcache"
-  | Memory -> "memory"
-  | Core -> "core"
-
-let buckets = [ Icache; Itlb; Dcache; Memory; Core ]
-
-let bucket_index = function
-  | Icache -> 0
-  | Itlb -> 1
-  | Dcache -> 2
-  | Memory -> 3
-  | Core -> 4
 
 let fetch_kind_name = function
   | Same_line -> "same_line"
@@ -57,6 +41,8 @@ let pp_event ppf = function
   | Icache_access { hit } -> Format.fprintf ppf "Icache_access hit=%b" hit
   | L0_access { hit } -> Format.fprintf ppf "L0_access hit=%b" hit
   | Tag_comparisons n -> Format.fprintf ppf "Tag_comparisons %d" n
+  | Tag_ways n -> Format.fprintf ppf "Tag_ways %d" n
+  | Data_reads n -> Format.fprintf ppf "Data_reads %d" n
   | Tag_search { ways } -> Format.fprintf ppf "Tag_search ways=%d" ways
   | Line_fill { evicted } -> Format.fprintf ppf "Line_fill evicted=%b" evicted
   | Hint Correct_wp -> Format.pp_print_string ppf "Hint correct_wp"
@@ -71,8 +57,7 @@ let pp_event ppf = function
   | Itlb_miss -> Format.pp_print_string ppf "Itlb_miss"
   | Dtlb_miss -> Format.pp_print_string ppf "Dtlb_miss"
   | Dcache_access { miss } -> Format.fprintf ppf "Dcache_access miss=%b" miss
-  | Energy { bucket; pj } ->
-      Format.fprintf ppf "Energy %s %.3fpJ" (bucket_name bucket) pj
+  | Leakage { pj } -> Format.fprintf ppf "Leakage %.3fpJ" pj
   | Retire { cycles; instrs } ->
       Format.fprintf ppf "Retire cycles=%d instrs=%d" cycles instrs
   | Resize { area_bytes } -> Format.fprintf ppf "Resize %dB" area_bytes

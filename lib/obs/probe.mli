@@ -21,13 +21,13 @@ type fetch_kind =
 
 type hint_outcome = Correct_wp | Correct_normal | Missed_saving | Reaccess
 
-type bucket = Icache | Itlb | Dcache | Memory | Core
-
 type event =
   | Fetch of fetch_kind
   | Icache_access of { hit : bool }
   | L0_access of { hit : bool }  (** filter-cache L0 probe *)
   | Tag_comparisons of int
+  | Tag_ways of int  (** I-cache tag ways searched (priced per way) *)
+  | Data_reads of int  (** I-cache data words read *)
   | Tag_search of { ways : int }
       (** one CAM search precharging [ways] comparators; the per-window
           histogram of these is the ways-enabled distribution *)
@@ -40,8 +40,9 @@ type event =
   | Itlb_miss
   | Dtlb_miss
   | Dcache_access of { miss : bool }
-  | Energy of { bucket : bucket; pj : float }
-      (** mirrors every [Energy.Account] addition, in order *)
+  | Leakage of { pj : float }
+      (** end-of-run I-cache leakage — the one energy a run does not
+          count as events *)
   | Retire of { cycles : int; instrs : int }
       (** cumulative totals after retiring one instruction — the
           sampler's clock *)
@@ -56,14 +57,6 @@ type t = event -> unit
 
 val null : t
 (** Discards every event. *)
-
-val buckets : bucket list
-(** All energy buckets, in {!bucket_index} order. *)
-
-val bucket_index : bucket -> int
-(** Dense index 0..4, for array-indexed accumulation. *)
-
-val bucket_name : bucket -> string
 
 val fetch_kind_name : fetch_kind -> string
 

@@ -9,6 +9,8 @@ module Counter = struct
     | L0_hits
     | L0_misses
     | Tag_comparisons
+    | Tag_ways
+    | Data_reads
     | Hint_correct_wp
     | Hint_correct_normal
     | Hint_missed_saving
@@ -35,21 +37,23 @@ module Counter = struct
     | L0_hits -> 6
     | L0_misses -> 7
     | Tag_comparisons -> 8
-    | Hint_correct_wp -> 9
-    | Hint_correct_normal -> 10
-    | Hint_missed_saving -> 11
-    | Hint_reaccess -> 12
-    | Waypred_correct -> 13
-    | Waypred_wrong -> 14
-    | Drowsy_wakes -> 15
-    | Link_writes -> 16
-    | Links_invalidated -> 17
-    | Itlb_misses -> 18
-    | Dtlb_misses -> 19
-    | Dcache_accesses -> 20
-    | Dcache_misses -> 21
-    | Line_fills -> 22
-    | Evictions -> 23
+    | Tag_ways -> 9
+    | Data_reads -> 10
+    | Hint_correct_wp -> 11
+    | Hint_correct_normal -> 12
+    | Hint_missed_saving -> 13
+    | Hint_reaccess -> 14
+    | Waypred_correct -> 15
+    | Waypred_wrong -> 16
+    | Drowsy_wakes -> 17
+    | Link_writes -> 18
+    | Links_invalidated -> 19
+    | Itlb_misses -> 20
+    | Dtlb_misses -> 21
+    | Dcache_accesses -> 22
+    | Dcache_misses -> 23
+    | Line_fills -> 24
+    | Evictions -> 25
 
   let name = function
     | Same_line_fetches -> "same_line_fetches"
@@ -61,6 +65,8 @@ module Counter = struct
     | L0_hits -> "l0_hits"
     | L0_misses -> "l0_misses"
     | Tag_comparisons -> "tag_comparisons"
+    | Tag_ways -> "tag_ways"
+    | Data_reads -> "data_reads"
     | Hint_correct_wp -> "hint_correct_wp"
     | Hint_correct_normal -> "hint_correct_normal"
     | Hint_missed_saving -> "hint_missed_saving"
@@ -88,6 +94,8 @@ module Counter = struct
       L0_hits;
       L0_misses;
       Tag_comparisons;
+      Tag_ways;
+      Data_reads;
       Hint_correct_wp;
       Hint_correct_normal;
       Hint_missed_saving;
@@ -108,8 +116,6 @@ module Counter = struct
   let count = List.length all
 end
 
-let n_buckets = List.length Probe.buckets
-
 type marker =
   | Resize of { cycle : int; area_bytes : int }
   | Flush of { cycle : int }
@@ -126,8 +132,7 @@ type window = {
   end_cycle : int;
   retired : int;
   counters : int array;
-  energy_pj : float array;
-  cum_energy_pj : float array;
+  leakage_pj : float;
   ways_hist : (int * int) list;
   markers : marker list;
 }
@@ -156,8 +161,7 @@ type t = {
   mutable start_cycle : int;
   mutable start_instrs : int;
   counters : int array;
-  energy : float array;
-  cum_energy : float array;
+  mutable leakage : float;
   ways : (int, int ref) Hashtbl.t;
   mutable markers : marker list; (* reversed, current window *)
   mutable finished : bool;
@@ -176,8 +180,7 @@ let create ?(window_cycles = default_window_cycles) () =
     start_cycle = 0;
     start_instrs = 0;
     counters = Array.make Counter.count 0;
-    energy = Array.make n_buckets 0.0;
-    cum_energy = Array.make n_buckets 0.0;
+    leakage = 0.0;
     ways = Hashtbl.create 7;
     markers = [];
     finished = false;
@@ -188,7 +191,7 @@ let window_is_empty t =
   && t.instrs = t.start_instrs
   && t.markers = []
   && Array.for_all (fun c -> c = 0) t.counters
-  && Array.for_all (fun e -> e = 0.0) t.energy
+  && t.leakage = 0.0
 
 let close_window t =
   let ways_hist =
@@ -202,8 +205,7 @@ let close_window t =
       end_cycle = t.cycles;
       retired = t.instrs - t.start_instrs;
       counters = Array.copy t.counters;
-      energy_pj = Array.copy t.energy;
-      cum_energy_pj = Array.copy t.cum_energy;
+      leakage_pj = t.leakage;
       ways_hist;
       markers = List.rev t.markers;
     }
@@ -214,7 +216,7 @@ let close_window t =
   t.start_instrs <- t.instrs;
   t.next_boundary <- ((t.cycles / t.window_cycles) + 1) * t.window_cycles;
   Array.fill t.counters 0 Counter.count 0;
-  Array.fill t.energy 0 n_buckets 0.0;
+  t.leakage <- 0.0;
   Hashtbl.reset t.ways;
   t.markers <- []
 
@@ -234,6 +236,8 @@ let handle t (ev : Probe.event) =
         bump t (if hit then Icache_hits else Icache_misses)
     | L0_access { hit } -> bump t (if hit then L0_hits else L0_misses)
     | Tag_comparisons n -> bump_by t Tag_comparisons n
+    | Tag_ways n -> bump_by t Tag_ways n
+    | Data_reads n -> bump_by t Data_reads n
     | Tag_search { ways } -> (
         match Hashtbl.find_opt t.ways ways with
         | Some n -> incr n
@@ -255,12 +259,7 @@ let handle t (ev : Probe.event) =
     | Dcache_access { miss } ->
         bump t Dcache_accesses;
         if miss then bump t Dcache_misses
-    | Energy { bucket; pj } ->
-        let i = Probe.bucket_index bucket in
-        t.energy.(i) <- t.energy.(i) +. pj;
-        (* Mirror the Account's own additions in the same order so the
-           final cumulative figure is bit-identical to [Stats.t]. *)
-        t.cum_energy.(i) <- t.cum_energy.(i) +. pj
+    | Leakage { pj } -> t.leakage <- t.leakage +. pj
     | Retire { cycles; instrs } ->
         t.cycles <- cycles;
         t.instrs <- instrs;
@@ -275,8 +274,8 @@ let probe t : Probe.t = handle t
 
 let finish t =
   if not t.finished then begin
-    (* Trailing events after the last boundary (end-of-run leakage,
-       core-rest energy) live in one final, possibly short window. *)
+    (* Trailing events after the last boundary (end-of-run leakage)
+       live in one final, possibly short window. *)
     if (not (window_is_empty t)) || t.closed = [] then close_window t;
     t.finished <- true
   end;
@@ -290,15 +289,3 @@ let sum_counters (windows : window list) =
     windows;
   acc
 
-let sum_energy (windows : window list) =
-  let acc = Array.make n_buckets 0.0 in
-  List.iter
-    (fun (w : window) ->
-      Array.iteri (fun i v -> acc.(i) <- acc.(i) +. v) w.energy_pj)
-    windows;
-  acc
-
-let final_cum_energy windows =
-  match List.rev windows with
-  | [] -> Array.make n_buckets 0.0
-  | last :: _ -> Array.copy last.cum_energy_pj

@@ -10,11 +10,12 @@
 
     Conservation law: every counter event mirrors a [Sim.Stats]
     increment at the site where the simulator performs it, so summing a
-    column over all windows reproduces the final statistics exactly;
-    per-bucket cumulative energy mirrors the [Energy.Account] additions
-    in order, making the last window's [cum_energy_pj] bit-identical to
-    the account.  [Check.Differ] fuzzes this invariant; the unit tests
-    pin it for baseline, way-placement and drowsy runs. *)
+    column over all windows reproduces the final statistics exactly.
+    Windows carry counts, not energy: [Sim.Timeline] prices them with
+    the same function that prices the run, so pricing the summed counts
+    gives the run's energy buckets bit for bit.  [Check.Differ] fuzzes
+    this invariant; the unit tests pin it for baseline, way-placement
+    and drowsy runs. *)
 
 module Counter : sig
   type t =
@@ -27,6 +28,8 @@ module Counter : sig
     | L0_hits
     | L0_misses
     | Tag_comparisons
+    | Tag_ways
+    | Data_reads
     | Hint_correct_wp
     | Hint_correct_normal
     | Hint_missed_saving
@@ -65,8 +68,7 @@ type window = {
   end_cycle : int;  (** cumulative cycles when it closed *)
   retired : int;  (** instructions retired within the window *)
   counters : int array;  (** window-local deltas, [Counter.index]ed *)
-  energy_pj : float array;  (** window-local, [Probe.bucket_index]ed *)
-  cum_energy_pj : float array;  (** cumulative through window end *)
+  leakage_pj : float;  (** end-of-run leakage, in the window that saw it *)
   ways_hist : (int * int) list;
       (** CAM searches by ways precharged, ascending *)
   markers : marker list;  (** resizes and flushes, chronological *)
@@ -94,7 +96,3 @@ val finish : t -> window list
     Idempotent. *)
 
 val sum_counters : window list -> int array
-val sum_energy : window list -> float array
-
-val final_cum_energy : window list -> float array
-(** The last window's cumulative per-bucket energy (zeros if empty). *)

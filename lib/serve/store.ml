@@ -1,6 +1,12 @@
 module Stats = Wp_sim.Stats
 
-let magic = "wpstore1\n"
+(* The header names the [Stats.t] layout: unmarshalling a payload of
+   another layout is undefined behaviour, not a catchable error, so an
+   entry written by a build with different fields must never reach
+   [Marshal.from_string].  Any layout change changes the header. *)
+let magic =
+  Printf.sprintf "wpstore-%s\n"
+    (String.sub (Digest.to_hex (Digest.string Stats.layout)) 0 16)
 
 type t = {
   dir : string option;

@@ -9,13 +9,16 @@
     in-memory table and, when the store was created with a directory,
     persisted to disk so they survive restarts.
 
-    The disk format is defensive: a magic header, the payload digest,
+    The disk format is defensive: a magic header naming the
+    {!Wp_sim.Stats.layout} ({!magic}), the payload digest,
     then the marshalled stats, written to a temporary file in the same
     directory and [rename]d into place — atomic on POSIX, so two
     daemons pointed at the same directory never clobber each other
     into a torn entry.  A corrupt, truncated or zero-length entry is
     detected on load, evicted (unlinked), and reported as a miss: the
-    daemon recomputes instead of serving garbage.
+    daemon recomputes instead of serving garbage.  So is an entry
+    written under another stats layout, before its payload is ever
+    unmarshalled.
 
     All operations are thread- and domain-safe. *)
 
@@ -25,6 +28,10 @@ val create : ?dir:string -> unit -> (t, string) result
 (** Memory-only without [dir]; with it, the directory is created if
     missing (one level) and entries persist there.  [Error] if the
     directory cannot be created or is not writable. *)
+
+val magic : string
+(** The disk entry header: ["wpstore-"], 16 hex digits of the digest of
+    {!Wp_sim.Stats.layout}, and a newline. *)
 
 val dir : t -> string option
 

@@ -100,6 +100,24 @@ let validate t =
       end
   end
 
+let l0_geometry t =
+  match t.scheme with
+  | Filter_cache { l0_bytes } ->
+      Some
+        (Wp_cache.Geometry.make ~size_bytes:l0_bytes ~assoc:1
+           ~line_bytes:t.icache.Wp_cache.Geometry.line_bytes)
+  | Baseline | Way_placement _ | Way_memoization | Way_prediction -> None
+
+let prices t =
+  Wp_energy.Price.make t.energy ~icache:t.icache ~dcache:t.dcache
+    ~itlb_entries:t.itlb_entries ~dtlb_entries:t.dtlb_entries
+    ~page_bytes:t.page_bytes
+    ~memo:
+      (match t.scheme with
+      | Way_memoization -> true
+      | Baseline | Way_placement _ | Way_prediction | Filter_cache _ -> false)
+    ~l0:(l0_geometry t)
+
 let scheme_name = function
   | Baseline -> "baseline"
   | Way_placement { area_bytes } ->

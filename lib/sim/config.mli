@@ -62,5 +62,11 @@ val validate : t -> (unit, string) result
     size (paper Section 4.1); cache and TLB parameters must be
     self-consistent. *)
 
+val l0_geometry : t -> Wp_cache.Geometry.t option
+(** The filter cache's direct-mapped L0 ([None] for other schemes). *)
+
+val prices : t -> Wp_energy.Price.t
+(** The per-event energies this machine charges. *)
+
 val scheme_name : scheme -> string
 val pp : Format.formatter -> t -> unit

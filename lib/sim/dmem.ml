@@ -1,24 +1,14 @@
 type t = {
   cache : Wp_cache.Cam_cache.t;
   tlb : Wp_tlb.Tlb.t;
-  energies : Wp_energy.Cam_energy.t;
-  tlb_lookup_pj : float;
   memory_latency : int;
   tlb_walk_latency : int;
-  memory_access_pj : float;
   probe : Wp_obs.Probe.t option;
-  (* Hot per-access constants: [Cam_energy.t] is an all-float record,
-     so reading its fields boxes a float per access; these fields are
-     boxed once at creation (mixed record) and free to read. *)
-  tag_full_pj : float;
-  dw_pj : float;
-  fill_pj : float;
 }
 
 let no_wp _ = false
 
 let create ?probe (config : Config.t) =
-  let energies = Wp_energy.Cam_energy.of_geometry config.energy config.dcache in
   {
     (* The D-cache's own CAM gets no probe: [Tag_search]/[Line_fill]
        events are an I-side signal (the ways-enabled distribution). *)
@@ -27,32 +17,22 @@ let create ?probe (config : Config.t) =
     tlb =
       Wp_tlb.Tlb.create ~entries:config.dtlb_entries
         ~page_bytes:config.page_bytes;
-    energies;
-    tlb_lookup_pj =
-      Wp_energy.Cam_energy.tlb_lookup_pj config.energy
-        ~entries:config.dtlb_entries ~page_bytes:config.page_bytes;
     memory_latency = config.memory_latency;
     tlb_walk_latency = config.tlb_walk_latency;
-    memory_access_pj = config.energy.Wp_energy.Params.memory_access_pj;
     probe;
-    tag_full_pj =
-      Wp_energy.Cam_energy.tag_search energies
-        ~ways:config.dcache.Wp_cache.Geometry.assoc;
-    dw_pj = energies.Wp_energy.Cam_energy.data_word_pj;
-    fill_pj = energies.Wp_energy.Cam_energy.line_fill_pj;
   }
 
+(* Every access is one D-TLB lookup plus a full-width search and a word;
+   a miss adds a line fill and a memory read, a TLB miss a page walk.
+   The counters below fix all of those charges. *)
 let access t (stats : Stats.t) addr ~write:_ =
   stats.dcache_accesses <- stats.dcache_accesses + 1;
-  let account = stats.account in
-  Wp_energy.Account.add_dcache account t.tlb_lookup_pj;
   let tlb_bits = Wp_tlb.Tlb.lookup_bits t.tlb addr ~wp_bit_of_page:no_wp in
   let tlb_stall =
     if tlb_bits land 1 = 1 then 0
     else begin
       stats.dtlb_misses <- stats.dtlb_misses + 1;
       (match t.probe with None -> () | Some p -> p Wp_obs.Probe.Dtlb_miss);
-      Wp_energy.Account.add_memory account t.memory_access_pj;
       t.tlb_walk_latency
     end
   in
@@ -60,8 +40,6 @@ let access t (stats : Stats.t) addr ~write:_ =
   (match t.probe with
   | None -> ()
   | Some p -> p (Wp_obs.Probe.Dcache_access { miss = hit_way < 0 }));
-  Wp_energy.Account.add_dcache account t.tag_full_pj;
-  Wp_energy.Account.add_dcache account t.dw_pj;
   let miss_stall =
     if hit_way >= 0 then 0
     else begin
@@ -70,8 +48,6 @@ let access t (stats : Stats.t) addr ~write:_ =
         Wp_cache.Cam_cache.fill_absent t.cache addr
           Wp_cache.Cam_cache.Victim_by_policy
       in
-      Wp_energy.Account.add_dcache account t.fill_pj;
-      Wp_energy.Account.add_memory account t.memory_access_pj;
       t.memory_latency
     end
   in

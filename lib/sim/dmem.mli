@@ -13,8 +13,8 @@ val create : ?probe:Wp_obs.Probe.t -> Config.t -> t
     [Dtlb_miss] events; pure observation. *)
 
 val access : t -> Stats.t -> Wp_isa.Addr.t -> write:bool -> int
-(** Perform the access, charge D-cache/D-TLB/memory energy and update
-    counters; returns the pipeline stall in cycles. *)
+(** Perform the access and count it (the counters fix its D-cache,
+    D-TLB and memory energy); returns the pipeline stall in cycles. *)
 
 val flush : t -> unit
 

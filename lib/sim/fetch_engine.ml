@@ -1,5 +1,4 @@
 open Wp_cache
-open Wp_energy
 
 type backend =
   | B_baseline of Cam_cache.t
@@ -10,7 +9,7 @@ type backend =
     }
   | B_way_memo of Way_memo.t
   | B_way_predict of Way_predict.t
-  | B_filter of { filter : Filter_cache.t; l1 : Cam_cache.t; l0_energies : Cam_energy.t }
+  | B_filter of { filter : Filter_cache.t; l1 : Cam_cache.t }
 
 (* The way-placed virtual window: [warea] bytes starting at [wbase].
    Under single-process runs this is pinned to [code_base] and the
@@ -25,33 +24,14 @@ type t = {
   window : window;
   tlb : Wp_tlb.Tlb.t;
   geometry : Geometry.t;
-  energies : Cam_energy.t;
-  tlb_lookup_pj : float;
   memory_latency : int;
   tlb_walk_latency : int;
-  memory_access_pj : float;
   same_line_elision : bool;
   code_base : Wp_isa.Addr.t;
   drowsy : Drowsy.t option;
   leakage_enabled : bool;
-  energy_params : Params.t;
+  energy_params : Wp_energy.Params.t;
   probe : Wp_obs.Probe.t option;
-  (* Hot per-fetch constants, precomputed at creation.  [Cam_energy.t]
-     is an all-float record, so reading a field from it (or calling
-     [tag_search]) boxes a fresh float on every fetch; this record is
-     mixed, so its float fields stay boxed once and reads are free.
-     Values are computed with the exact expressions the per-call code
-     used, so every charge stays bit-identical. *)
-  tag_full_pj : float;  (** [tag_search ~ways:assoc] *)
-  tag_one_pj : float;  (** [tag_search ~ways:1] *)
-  dw_pj : float;  (** data word *)
-  memo_dw_pj : float;  (** data word scaled by the memo overhead *)
-  memo_fill_pj : float;  (** line fill scaled by the memo overhead *)
-  fill_pj : float;
-  link_write_pj : float;
-  l0_tag_one_pj : float;  (** filter L0 [tag_search ~ways:1]; 0 otherwise *)
-  l0_dw_pj : float;  (** filter L0 data word; 0 otherwise *)
-  drowsy_wake_pj : float;
   wp_bit_of_page : Wp_isa.Addr.t -> bool;
       (** hoisted so [translate] doesn't allocate a closure per call *)
   mutable prev_addr : Wp_isa.Addr.t;  (** -1 = no context *)
@@ -85,18 +65,16 @@ let create ?probe (config : Config.t) ~code_base =
         B_way_predict
           (Way_predict.create ?probe config.icache
              ~replacement:config.replacement)
-    | Config.Filter_cache { l0_bytes } ->
-        let l0 =
-          Geometry.make ~size_bytes:l0_bytes ~assoc:1
-            ~line_bytes:config.icache.Geometry.line_bytes
-        in
+    | Config.Filter_cache _ ->
         B_filter
           {
-            filter = Filter_cache.create ?probe ~l0 ();
+            filter =
+              Filter_cache.create ?probe
+                ~l0:(Option.get (Config.l0_geometry config))
+                ();
             l1 =
               Cam_cache.create ?probe config.icache
                 ~replacement:config.replacement;
-            l0_energies = Cam_energy.of_geometry config.energy l0;
           }
   in
   let window =
@@ -110,12 +88,6 @@ let create ?probe (config : Config.t) ~code_base =
             0);
     }
   in
-  let energies = Cam_energy.of_geometry config.energy config.icache in
-  let l0_energies =
-    match backend with
-    | B_filter { l0_energies; _ } -> Some l0_energies
-    | B_baseline _ | B_way_placement _ | B_way_memo _ | B_way_predict _ -> None
-  in
   {
     backend;
     window;
@@ -123,13 +95,8 @@ let create ?probe (config : Config.t) ~code_base =
       Wp_tlb.Tlb.create ~entries:config.itlb_entries
         ~page_bytes:config.page_bytes;
     geometry = config.icache;
-    energies;
-    tlb_lookup_pj =
-      Cam_energy.tlb_lookup_pj config.energy ~entries:config.itlb_entries
-        ~page_bytes:config.page_bytes;
     memory_latency = config.memory_latency;
     tlb_walk_latency = config.tlb_walk_latency;
-    memory_access_pj = config.energy.Params.memory_access_pj;
     same_line_elision = config.same_line_elision;
     code_base;
     drowsy =
@@ -139,25 +106,6 @@ let create ?probe (config : Config.t) ~code_base =
     leakage_enabled = config.leakage_enabled;
     energy_params = config.energy;
     probe;
-    tag_full_pj =
-      Cam_energy.tag_search energies ~ways:config.icache.Geometry.assoc;
-    tag_one_pj = Cam_energy.tag_search energies ~ways:1;
-    dw_pj = energies.Cam_energy.data_word_pj;
-    memo_dw_pj =
-      energies.Cam_energy.data_word_pj *. energies.Cam_energy.memo_data_factor;
-    memo_fill_pj =
-      energies.Cam_energy.line_fill_pj *. energies.Cam_energy.memo_data_factor;
-    fill_pj = energies.Cam_energy.line_fill_pj;
-    link_write_pj = energies.Cam_energy.link_write_pj;
-    l0_tag_one_pj =
-      (match l0_energies with
-      | Some e -> Cam_energy.tag_search e ~ways:1
-      | None -> 0.0);
-    l0_dw_pj =
-      (match l0_energies with
-      | Some e -> e.Cam_energy.data_word_pj
-      | None -> 0.0);
-    drowsy_wake_pj = config.energy.Params.drowsy_wake_pj;
     wp_bit_of_page =
       (match backend with
       | B_way_placement _ ->
@@ -201,16 +149,17 @@ let flush_tlb t =
   t.prev_set <- -1;
   t.prev_way <- -1
 
-let charge_icache stats pj = Account.add_icache stats.Stats.account pj
-
-(* Tag-search energy for a variable way count, answered from the
-   precomputed (already-boxed) constants when possible.  The fallback
-   is the same [tag_search] product, so the value is identical either
-   way. *)
-let tag_pj t ~ways =
-  if ways = 1 then t.tag_one_pj
-  else if ways = t.geometry.Geometry.assoc then t.tag_full_pj
-  else Cam_energy.tag_search t.energies ~ways
+(* One I-cache array access: [ways] tag ways searched and [reads] data
+   words read — the two energy-bearing event classes no other counter
+   fixes (fills, link writes, wakes and memory reads have their own). *)
+let count_array t (stats : Stats.t) ~ways ~reads =
+  stats.tag_ways <- stats.tag_ways + ways;
+  stats.data_reads <- stats.data_reads + reads;
+  match t.probe with
+  | None -> ()
+  | Some p ->
+      p (Wp_obs.Probe.Tag_ways ways);
+      p (Wp_obs.Probe.Data_reads reads)
 
 (* Drowsy bookkeeping: touching a line keeps it awake; touching a
    sleeping line costs a wake-up (energy + one cycle).  Returns the
@@ -223,17 +172,31 @@ let note_line t (stats : Stats.t) ~set ~way =
   | Some d ->
       if Drowsy.note_access d ~now:stats.fetches ~set ~way then begin
         stats.drowsy_wakes <- stats.drowsy_wakes + 1;
-        charge_icache stats t.drowsy_wake_pj;
         1
       end
       else 0
+
+(* [m] back-to-back touches of one line, the last at the current fetch
+   count: [note_line] per touch, for the batched same-line tail. *)
+let note_run t (stats : Stats.t) ~set ~way ~m =
+  match t.drowsy with
+  | None -> 0
+  | Some d ->
+      let base = stats.fetches - m in
+      let extra = ref 0 in
+      for j = 1 to m do
+        if Drowsy.note_access d ~now:(base + j) ~set ~way then begin
+          stats.drowsy_wakes <- stats.drowsy_wakes + 1;
+          incr extra
+        end
+      done;
+      !extra
 
 (* I-TLB access: every non-same-line fetch translates.  The result is
    int-encoded — bit 0 is the way-placement bit, the remaining bits the
    walk stall — so the hot path allocates neither a record nor a
    tuple. *)
 let translate t (stats : Stats.t) addr =
-  Account.add_itlb stats.account t.tlb_lookup_pj;
   let bits =
     Wp_tlb.Tlb.lookup_bits t.tlb addr ~wp_bit_of_page:t.wp_bit_of_page
   in
@@ -242,7 +205,6 @@ let translate t (stats : Stats.t) addr =
   else begin
     stats.itlb_misses <- stats.itlb_misses + 1;
     (match t.probe with None -> () | Some p -> p Wp_obs.Probe.Itlb_miss);
-    Account.add_memory stats.account t.memory_access_pj;
     (t.tlb_walk_latency lsl 1) lor wp
   end
 
@@ -264,8 +226,7 @@ let full_access t (stats : Stats.t) cache addr ~fill_policy =
       p (Wp_obs.Probe.Fetch Full);
       p (Wp_obs.Probe.Tag_comparisons assoc);
       p (Wp_obs.Probe.Icache_access { hit = hit_way >= 0 }));
-  charge_icache stats t.tag_full_pj;
-  charge_icache stats t.dw_pj;
+  count_array t stats ~ways:assoc ~reads:1;
   let set = Geometry.set_index t.geometry addr in
   if hit_way >= 0 then begin
     stats.icache_hits <- stats.icache_hits + 1;
@@ -274,8 +235,6 @@ let full_access t (stats : Stats.t) cache addr ~fill_policy =
   else begin
     stats.icache_misses <- stats.icache_misses + 1;
     let way, _evicted = Cam_cache.fill_absent cache addr fill_policy in
-    charge_icache stats t.fill_pj;
-    Account.add_memory stats.account t.memory_access_pj;
     t.memory_latency + note_line t stats ~set ~way
   end
 
@@ -292,8 +251,7 @@ let way_placed_access t (stats : Stats.t) cache addr =
       p (Wp_obs.Probe.Fetch Way_placed);
       p (Wp_obs.Probe.Tag_comparisons 1);
       p (Wp_obs.Probe.Icache_access { hit }));
-  charge_icache stats t.tag_one_pj;
-  charge_icache stats t.dw_pj;
+  count_array t stats ~ways:1 ~reads:1;
   let set = Geometry.set_index t.geometry addr in
   if hit then begin
     stats.icache_hits <- stats.icache_hits + 1;
@@ -302,8 +260,6 @@ let way_placed_access t (stats : Stats.t) cache addr =
   else begin
     stats.icache_misses <- stats.icache_misses + 1;
     let _way, _evicted = Cam_cache.fill cache addr (Cam_cache.Forced_way way) in
-    charge_icache stats t.fill_pj;
-    Account.add_memory stats.account t.memory_access_pj;
     t.memory_latency + note_line t stats ~set ~way
   end
 
@@ -324,17 +280,13 @@ let memo_access t (stats : Stats.t) memo addr =
   if r.Way_memo.link_written then stats.link_writes <- stats.link_writes + 1;
   stats.links_invalidated <-
     stats.links_invalidated + r.Way_memo.links_invalidated;
-  charge_icache stats (tag_pj t ~ways:r.Way_memo.ways_precharged);
-  charge_icache stats t.memo_dw_pj;
-  if r.Way_memo.link_written then charge_icache stats t.link_write_pj;
+  count_array t stats ~ways:r.Way_memo.ways_precharged ~reads:1;
   if r.Way_memo.hit then begin
     stats.icache_hits <- stats.icache_hits + 1;
     0
   end
   else begin
     stats.icache_misses <- stats.icache_misses + 1;
-    charge_icache stats t.memo_fill_pj;
-    Account.add_memory stats.account t.memory_access_pj;
     t.memory_latency
   end
 
@@ -353,40 +305,33 @@ let waypred_access t (stats : Stats.t) predictor addr =
   if r.Way_predict.predicted_correctly then
     stats.waypred_correct <- stats.waypred_correct + 1
   else stats.waypred_wrong <- stats.waypred_wrong + 1;
-  charge_icache stats
-    (tag_pj t
-       ~ways:(r.Way_predict.first_probe_ways + r.Way_predict.second_probe_ways));
   (* The predicted way's data is read speculatively; a mispredict reads
      the correct way again. *)
-  let data_reads =
+  let reads =
     let n =
       r.Way_predict.first_probe_ways
       + if r.Way_predict.predicted_correctly then 0 else 1
     in
     if n < 1 then 1 else n
   in
-  charge_icache stats
-    (if data_reads = 1 then t.dw_pj
-     else t.dw_pj *. float_of_int data_reads);
+  count_array t stats
+    ~ways:(r.Way_predict.first_probe_ways + r.Way_predict.second_probe_ways)
+    ~reads;
   if r.Way_predict.hit then begin
     stats.icache_hits <- stats.icache_hits + 1;
     r.Way_predict.penalty_cycles
   end
   else begin
     stats.icache_misses <- stats.icache_misses + 1;
-    charge_icache stats t.fill_pj;
-    Account.add_memory stats.account t.memory_access_pj;
     r.Way_predict.penalty_cycles + t.memory_latency
   end
 
 (* Filter cache: the tiny L0 catches most fetches; L0 misses pay a
-   cycle and a full L1 access (Kin et al.). *)
-let filter_access t (stats : Stats.t) filter l1 l0_energies addr =
+   cycle and a full L1 access (Kin et al.).  The L0 probe and the word
+   it streams are priced per L0 access and per fetch, so only the L1
+   side counts array events. *)
+let filter_access t (stats : Stats.t) filter l1 addr =
   let r = Filter_cache.access filter addr in
-  charge_icache stats
-    (if r.Filter_cache.l0_tag_comparisons = 1 then t.l0_tag_one_pj
-     else Cam_energy.tag_search l0_energies ~ways:r.Filter_cache.l0_tag_comparisons);
-  charge_icache stats t.l0_dw_pj;
   stats.tag_comparisons <- stats.tag_comparisons + r.Filter_cache.l0_tag_comparisons;
   (match t.probe with
   | None -> ()
@@ -428,15 +373,15 @@ let fetch t (stats : Stats.t) addr =
       (match t.backend with
       | B_way_memo memo ->
           Way_memo.note_same_line memo addr;
-          charge_icache stats t.memo_dw_pj
+          count_array t stats ~ways:0 ~reads:1
       | B_filter _ ->
           (* The previous fetch left this line resident in the L0
              (either it hit there or the miss refilled it), so the
-             sequential word streams from the L0 array — charging the
-             L1's much larger data read would overbill the scheme. *)
-          charge_icache stats t.l0_dw_pj
+             sequential word streams from the L0 array — reading the
+             L1's much larger array would overbill the scheme. *)
+          ()
       | B_way_placement _ | B_baseline _ | B_way_predict _ ->
-          charge_icache stats t.dw_pj);
+          count_array t stats ~ways:0 ~reads:1);
       if t.prev_set >= 0 then
         ignore (note_line t stats ~set:t.prev_set ~way:t.prev_way);
       0
@@ -452,8 +397,7 @@ let fetch t (stats : Stats.t) addr =
               ~fill_policy:Cam_cache.Victim_by_policy
         | B_way_memo memo -> memo_access t stats memo addr
         | B_way_predict predictor -> waypred_access t stats predictor addr
-        | B_filter { filter; l1; l0_energies } ->
-            filter_access t stats filter l1 l0_energies addr
+        | B_filter { filter; l1 } -> filter_access t stats filter l1 addr
         | B_way_placement { cache; hint; area_bytes = _ } -> begin
             match Wp_tlb.Way_hint.resolve hint ~actual:way_placed with
             | Wp_tlb.Way_hint.Correct_way_placed ->
@@ -489,7 +433,7 @@ let fetch t (stats : Stats.t) addr =
                 | Some p ->
                     p (Wp_obs.Probe.Hint Reaccess);
                     p (Wp_obs.Probe.Tag_comparisons 1));
-                charge_icache stats t.tag_one_pj;
+                count_array t stats ~ways:1 ~reads:0;
                 1
                 + full_access t stats cache addr
                     ~fill_policy:Cam_cache.Victim_by_policy
@@ -508,18 +452,17 @@ let fetch t (stats : Stats.t) addr =
    remaining [n - 1] fetches of the run are by construction same-line
    with their predecessor, so their effects are replicated wholesale:
 
-   - elision on: each tail fetch charges one data word (scheme-scaled)
-     and pokes the drowsy/memo stream state — constants and counter
-     bumps, batched below in the reference accumulation order;
+   - elision on: each tail fetch reads one data word (from the L0 on
+     the filter cache) and pokes the drowsy/memo stream state —
+     counter bumps and one state update per run;
    - elision off (baseline): each tail fetch is a full TLB hit plus a
      full CAM hit on the line the head just made resident —
-     [Cam_cache.lookup_line_run] collapses the replacement touches and
-     the per-fetch energy is replayed add-for-add;
+     [Cam_cache.lookup_line_run] collapses the replacement touches;
    - every other elision-off backend (and any probed engine) falls back
      to [n - 1] generic [fetch] calls, which are the definition.
 
-   The result is bit-identical [Stats.t] to [n] successive [fetch]
-   calls — the fast-vs-reference invariant the differ enforces. *)
+   The [Stats.t] effects equal those of [n] successive [fetch] calls —
+   the fast-vs-reference invariant the differ enforces. *)
 let fetch_run t (stats : Stats.t) addr ~n =
   if n <= 0 then invalid_arg "Fetch_engine.fetch_run: n must be positive";
   let generic_tail m =
@@ -539,37 +482,14 @@ let fetch_run t (stats : Stats.t) addr ~n =
         let last = addr + (m * Wp_isa.Instr.size_bytes) in
         stats.fetches <- stats.fetches + m;
         stats.same_line_fetches <- stats.same_line_fetches + m;
-        let elided_pj =
-          match t.backend with
-          | B_way_memo _ -> t.memo_dw_pj
-          | B_filter _ -> t.l0_dw_pj
-          | B_baseline _ | B_way_placement _ | B_way_predict _ -> t.dw_pj
-        in
+        (match t.backend with
+        | B_filter _ -> ()
+        | B_baseline _ | B_way_placement _ | B_way_memo _ | B_way_predict _ ->
+            stats.data_reads <- stats.data_reads + m);
         let stall_extra =
-          match t.drowsy with
-          | Some d when t.prev_set >= 0 ->
-              (* Interleave data-word and (possible) wake charges
-                 per fetch so the icache-bucket add order matches the
-                 reference exactly.  With back-to-back accesses the gap
-                 is 1 <= window, so wakes cannot actually fire here —
-                 the branch mirrors [note_line] for fidelity. *)
-              let base = stats.fetches - m in
-              let extra = ref 0 in
-              for j = 1 to m do
-                charge_icache stats elided_pj;
-                if
-                  Drowsy.note_access d ~now:(base + j) ~set:t.prev_set
-                    ~way:t.prev_way
-                then begin
-                  stats.drowsy_wakes <- stats.drowsy_wakes + 1;
-                  charge_icache stats t.drowsy_wake_pj;
-                  incr extra
-                end
-              done;
-              !extra
-          | Some _ | None ->
-              Account.add_icache_run stats.Stats.account elided_pj ~n:m;
-              0
+          if t.prev_set >= 0 then
+            note_run t stats ~set:t.prev_set ~way:t.prev_way ~m
+          else 0
         in
         (* The memo stream advances to the run's last address — the same
            state [m] successive [note_same_line] calls leave. *)
@@ -583,40 +503,16 @@ let fetch_run t (stats : Stats.t) addr ~n =
         match t.backend with
         | B_baseline cache ->
             let last = addr + (m * Wp_isa.Instr.size_bytes) in
+            let assoc = t.geometry.Geometry.assoc in
             stats.fetches <- stats.fetches + m;
             stats.full_fetches <- stats.full_fetches + m;
             stats.icache_hits <- stats.icache_hits + m;
+            stats.tag_comparisons <- stats.tag_comparisons + (m * assoc);
+            stats.tag_ways <- stats.tag_ways + (m * assoc);
+            stats.data_reads <- stats.data_reads + m;
             let way = Cam_cache.lookup_line_run_way cache last ~n:m in
-            stats.tag_comparisons <-
-              stats.tag_comparisons + (m * t.geometry.Geometry.assoc);
-            for _ = 1 to m do
-              Account.add_itlb stats.account t.tlb_lookup_pj
-            done;
-            let tag_one = t.tag_full_pj in
-            let dw = t.dw_pj in
             let set = Geometry.set_index t.geometry last in
-            let stall_extra =
-              match t.drowsy with
-              | Some d ->
-                  let base = stats.fetches - m in
-                  let extra = ref 0 in
-                  for j = 1 to m do
-                    charge_icache stats tag_one;
-                    charge_icache stats dw;
-                    if Drowsy.note_access d ~now:(base + j) ~set ~way then begin
-                      stats.drowsy_wakes <- stats.drowsy_wakes + 1;
-                      charge_icache stats t.drowsy_wake_pj;
-                      incr extra
-                    end
-                  done;
-                  !extra
-              | None ->
-                  for _ = 1 to m do
-                    charge_icache stats tag_one;
-                    charge_icache stats dw
-                  done;
-                  0
-            in
+            let stall_extra = note_run t stats ~set ~way ~m in
             t.prev_set <- set;
             t.prev_way <- way;
             t.prev_addr <- last;
@@ -699,7 +595,7 @@ let fingerprint t ~now ~add =
   | B_way_predict predictor ->
       add 3;
       Way_predict.fingerprint predictor ~add
-  | B_filter { filter; l1; l0_energies = _ } ->
+  | B_filter { filter; l1 } ->
       add 4;
       Filter_cache.fingerprint filter ~add;
       Cam_cache.fingerprint l1 ~add);
@@ -738,14 +634,15 @@ let drowsy_rebase t ~old_now ~new_now =
 let drowsy_sleep_all t ~now =
   match t.drowsy with None -> () | Some d -> Drowsy.sleep_all d ~now
 
-(* End-of-run leakage: line-ticks are counted in fetches and rescaled
-   to cycles; without a drowsy policy every line leaks at the awake
-   rate for the whole run.  [now_fetches] overrides the drowsy clock
-   reading for callers that charge leakage into a [Stats.t] other than
-   the one that counted the fetches (the multiprogramming layer's
+(* End-of-run leakage, the one energy that is not a count of events:
+   line-ticks are counted in fetches and rescaled to cycles; without a
+   drowsy policy every line leaks at the awake rate for the whole run.
+   [now_fetches] overrides the drowsy clock reading for callers whose
+   [Stats.t] did not count the fetches (the multiprogramming layer's
    system account). *)
-let finalize ?now_fetches t (stats : Stats.t) ~cycles =
-  if t.leakage_enabled then begin
+let leakage_pj ?now_fetches t (stats : Stats.t) ~cycles =
+  if not t.leakage_enabled then 0.0
+  else begin
     let lines = float_of_int (Geometry.lines t.geometry) in
     let awake_fraction =
       match t.drowsy with
@@ -759,8 +656,11 @@ let finalize ?now_fetches t (stats : Stats.t) ~cycles =
     in
     let p = t.energy_params in
     let rate =
-      p.Params.leak_awake_pj_per_line_cycle
-      *. (awake_fraction +. ((1.0 -. awake_fraction) *. p.Params.leak_drowsy_factor))
+      p.Wp_energy.Params.leak_awake_pj_per_line_cycle
+      *. (awake_fraction
+         +. ((1.0 -. awake_fraction) *. p.Wp_energy.Params.leak_drowsy_factor))
     in
-    charge_icache stats (lines *. float_of_int cycles *. rate)
+    let pj = lines *. float_of_int cycles *. rate in
+    (match t.probe with None -> () | Some p -> p (Wp_obs.Probe.Leakage { pj }));
+    pj
   end

@@ -15,7 +15,8 @@
       one penalty cycle is charged (Section 4.1, second scenario);
     - {b full}: everything else searches all ways.
 
-    All energy flows into the run's {!Stats.t} account. *)
+    Every energy-bearing event is counted in the run's {!Stats.t}; the
+    run is priced from those counts when it finalises. *)
 
 type t
 
@@ -105,11 +106,12 @@ val drowsy_sleep_all : t -> now:int -> unit
 (** {!Wp_cache.Drowsy.sleep_all} on the drowsy state, if any — the
     flush-on-switch drowsy policy. *)
 
-val finalize : ?now_fetches:int -> t -> Stats.t -> cycles:int -> unit
-(** Charge end-of-run leakage energy (a no-op unless the configuration
-    enabled leakage accounting).  [now_fetches] overrides the drowsy
-    clock reading (defaults to [stats.fetches]) for callers charging
-    into a [Stats.t] that did not count the fetches. *)
+val leakage_pj : ?now_fetches:int -> t -> Stats.t -> cycles:int -> float
+(** End-of-run leakage energy of a run of [cycles] cycles (zero unless
+    the configuration enabled leakage accounting); a probe sees it as
+    one [Leakage] event.  [now_fetches] overrides the drowsy clock
+    reading (defaults to [stats.fetches]) for callers whose [Stats.t]
+    did not count the fetches. *)
 
 val way_placed_addr : t -> Wp_isa.Addr.t -> bool
 (** Whether an address falls inside the configured way-placement area

@@ -64,17 +64,14 @@ let run_reference_loop ~probe ~resize_schedule ~(config : Config.t) ~compiled
     done
   done;
   stats.Stats.cycles <- Wp_pipeline.Core_model.cycles core;
-  Fetch_engine.finalize engine stats ~cycles:stats.Stats.cycles;
   stats.Stats.retired_instrs <- Wp_pipeline.Core_model.instructions core
 
 (* The block-batched fast path: same-line runs fetched in one
    [Fetch_engine.fetch_run] call each, memory ops replayed afterwards in
    program order, cycles accumulated from the plan's pre-summed execute
    latencies.  Safe reorderings only: the fetch and data engines share
-   no state, and the one energy bucket both touch (memory) only ever
-   receives the single constant [memory_access_pj], so moving a run's
-   fetch charges ahead of its data charges leaves every bucket's
-   accumulation bit-identical.  Branches exist only as block terminators
+   no state, and energy is priced from counts at the end, so moving a
+   run's fetches ahead of its data accesses changes no counter.  Branches exist only as block terminators
    (Basic_block validates this), so the predictor runs once per block. *)
 let run_fast ~(config : Config.t) ~compiled
     ~(trace : Wp_workloads.Tracer.trace) ~(stats : Stats.t) ~engine ~dmem ~data
@@ -212,7 +209,6 @@ let run_fast ~(config : Config.t) ~compiled
           exec_block k
         done);
   stats.Stats.cycles <- !cycles;
-  Fetch_engine.finalize engine stats ~cycles:!cycles;
   stats.Stats.retired_instrs <- !instrs
 
 let run_compiled ?probe ?(schedule = []) ?(reference_only = false)
@@ -230,7 +226,6 @@ let run_compiled ?probe ?(schedule = []) ?(reference_only = false)
    ascending resize_schedule);
   let program = Compiled_trace.program compiled in
   let stats = Stats.create () in
-  Wp_energy.Account.set_probe stats.Stats.account probe;
   let engine = Fetch_engine.create ?probe config ~code_base in
   let dmem = Dmem.create ?probe config in
   let data =
@@ -260,12 +255,8 @@ let run_compiled ?probe ?(schedule = []) ?(reference_only = false)
   | _ ->
       run_reference_loop ~probe ~resize_schedule ~config ~compiled ~trace
         ~stats ~engine ~dmem ~data);
-  Wp_energy.Account.add_core stats.Stats.account
-    (config.energy.Wp_energy.Params.core_rest_pj_per_cycle
-    *. float_of_int stats.Stats.cycles);
-  (* The stats outlive this run; don't let them keep emitting into a
-     sampler that considers the run finished. *)
-  Wp_energy.Account.set_probe stats.Stats.account None;
+  Stats.price stats (Config.prices config)
+    ~leakage_pj:(Fetch_engine.leakage_pj engine stats ~cycles:stats.Stats.cycles);
   stats
 
 let run_probed ~probe ~schedule ~config ~program ~layout ~trace =

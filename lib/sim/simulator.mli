@@ -2,7 +2,8 @@
 
     Replays a block trace through the fetch engine, the data-memory
     engine and the core cycle model, and returns the complete
-    statistics (counters + energy account + cycles).  The same trace
+    statistics (counters, cycles, and the energy priced from the
+    counters).  The same trace
     replayed under different schemes/configurations yields directly
     comparable runs — the paper's "we always compare equally
     configured machines" protocol (Section 5).
@@ -13,8 +14,9 @@
     requested.  The {e fast path} replays precompiled same-line runs
     block-batched ({!Compiled_trace}, {!Fetch_engine.fetch_run}) and is
     taken otherwise.  Both produce exactly equal {!Stats.t}
-    ({!Stats.equal}, bit-identical energy) — an invariant enforced by
-    the differential fuzzer ([Check.Differ]) and [test_fastpath]. *)
+    ({!Stats.equal}: equal counters, hence bit-identical energy) — an
+    invariant enforced by the differential fuzzer ([Check.Differ]) and
+    [test_fastpath]. *)
 
 val code_base : Wp_isa.Addr.t
 (** Where program text is laid out (0x0001_0000). *)

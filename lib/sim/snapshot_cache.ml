@@ -1,8 +1,6 @@
 type entry = {
   e_fp : int array;
   e_ints : int array;
-  e_charges : float array array;
-  e_lens : int array;
   e_awake : int array;
   e_fetches : int;
   e_cycles : int;

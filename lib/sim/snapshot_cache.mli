@@ -35,11 +35,9 @@ type t
 
 type entry = {
   e_fp : int array;  (** converged boundary fingerprint, exact words *)
-  e_ints : int array;  (** per-iteration {!Stats.snapshot_ints} delta *)
-  e_charges : float array array;
-      (** per-bucket energy charge sequences of one iteration, in
-          recorded order ({!Wp_energy.Account.replay} consumes them) *)
-  e_lens : int array;  (** live prefix length of each charge array *)
+  e_ints : int array;
+      (** per-iteration {!Stats.snapshot_ints} delta, energy events
+          included *)
   e_awake : int array;  (** drowsy awake increments of one iteration *)
   e_fetches : int;  (** fetches per iteration *)
   e_cycles : int;  (** cycles per iteration *)

@@ -6,6 +6,8 @@ type t = {
   mutable icache_hits : int;
   mutable icache_misses : int;
   mutable tag_comparisons : int;
+  mutable tag_ways : int;
+  mutable data_reads : int;
   mutable hint_correct_wp : int;
   mutable hint_correct_normal : int;
   mutable hint_missed_saving : int;
@@ -24,7 +26,7 @@ type t = {
   mutable dcache_misses : int;
   mutable cycles : int;
   mutable retired_instrs : int;
-  account : Wp_energy.Account.t;
+  energy : float array;
 }
 
 let create () =
@@ -36,6 +38,8 @@ let create () =
     icache_hits = 0;
     icache_misses = 0;
     tag_comparisons = 0;
+    tag_ways = 0;
+    data_reads = 0;
     hint_correct_wp = 0;
     hint_correct_normal = 0;
     hint_missed_saving = 0;
@@ -54,75 +58,84 @@ let create () =
     dcache_misses = 0;
     cycles = 0;
     retired_instrs = 0;
-    account = Wp_energy.Account.create ();
+    energy = Array.make (List.length Wp_energy.Price.buckets) 0.0;
   }
 
-(* Integer-counter snapshots for the fast-forward engine: counters are
-   pure sums, so [k] skipped loop iterations contribute exactly [k]
-   times the recorded iteration's delta.  The array order here and in
-   [add_scaled_delta] must match; both enumerate the mutable int fields
-   in declaration order. *)
-let snapshot_ints t =
-  [|
-    t.fetches;
-    t.same_line_fetches;
-    t.wp_fetches;
-    t.full_fetches;
-    t.icache_hits;
-    t.icache_misses;
-    t.tag_comparisons;
-    t.hint_correct_wp;
-    t.hint_correct_normal;
-    t.hint_missed_saving;
-    t.hint_reaccess;
-    t.waypred_correct;
-    t.waypred_wrong;
-    t.l0_hits;
-    t.l0_misses;
-    t.drowsy_wakes;
-    t.link_follows;
-    t.link_writes;
-    t.links_invalidated;
-    t.itlb_misses;
-    t.dtlb_misses;
-    t.dcache_accesses;
-    t.dcache_misses;
-    t.cycles;
-    t.retired_instrs;
-  |]
+(* One table of every integer counter drives the fast-forward snapshots,
+   [equal], [pp_diff] and the store's [layout], so none of them can
+   disagree about which fields exist; a counter added to [t] must be
+   added here (the differential tests cross-check totals, so an omission
+   shows up as a conservation-law failure, not silence). *)
+let int_fields =
+  [
+    ("fetches", (fun t -> t.fetches), fun t v -> t.fetches <- v);
+    ("same_line_fetches", (fun t -> t.same_line_fetches), fun t v -> t.same_line_fetches <- v);
+    ("wp_fetches", (fun t -> t.wp_fetches), fun t v -> t.wp_fetches <- v);
+    ("full_fetches", (fun t -> t.full_fetches), fun t v -> t.full_fetches <- v);
+    ("icache_hits", (fun t -> t.icache_hits), fun t v -> t.icache_hits <- v);
+    ("icache_misses", (fun t -> t.icache_misses), fun t v -> t.icache_misses <- v);
+    ("tag_comparisons", (fun t -> t.tag_comparisons), fun t v -> t.tag_comparisons <- v);
+    ("tag_ways", (fun t -> t.tag_ways), fun t v -> t.tag_ways <- v);
+    ("data_reads", (fun t -> t.data_reads), fun t v -> t.data_reads <- v);
+    ("hint_correct_wp", (fun t -> t.hint_correct_wp), fun t v -> t.hint_correct_wp <- v);
+    ("hint_correct_normal", (fun t -> t.hint_correct_normal), fun t v -> t.hint_correct_normal <- v);
+    ("hint_missed_saving", (fun t -> t.hint_missed_saving), fun t v -> t.hint_missed_saving <- v);
+    ("hint_reaccess", (fun t -> t.hint_reaccess), fun t v -> t.hint_reaccess <- v);
+    ("waypred_correct", (fun t -> t.waypred_correct), fun t v -> t.waypred_correct <- v);
+    ("waypred_wrong", (fun t -> t.waypred_wrong), fun t v -> t.waypred_wrong <- v);
+    ("l0_hits", (fun t -> t.l0_hits), fun t v -> t.l0_hits <- v);
+    ("l0_misses", (fun t -> t.l0_misses), fun t v -> t.l0_misses <- v);
+    ("drowsy_wakes", (fun t -> t.drowsy_wakes), fun t v -> t.drowsy_wakes <- v);
+    ("link_follows", (fun t -> t.link_follows), fun t v -> t.link_follows <- v);
+    ("link_writes", (fun t -> t.link_writes), fun t v -> t.link_writes <- v);
+    ("links_invalidated", (fun t -> t.links_invalidated), fun t v -> t.links_invalidated <- v);
+    ("itlb_misses", (fun t -> t.itlb_misses), fun t v -> t.itlb_misses <- v);
+    ("dtlb_misses", (fun t -> t.dtlb_misses), fun t v -> t.dtlb_misses <- v);
+    ("dcache_accesses", (fun t -> t.dcache_accesses), fun t v -> t.dcache_accesses <- v);
+    ("dcache_misses", (fun t -> t.dcache_misses), fun t v -> t.dcache_misses <- v);
+    ("cycles", (fun t -> t.cycles), fun t v -> t.cycles <- v);
+    ("retired_instrs", (fun t -> t.retired_instrs), fun t v -> t.retired_instrs <- v);
+  ]
+
+(* Counters are pure sums, so [k] skipped loop iterations contribute
+   exactly [k] times the recorded iteration's delta. *)
+let snapshot_ints t = Array.of_list (List.map (fun (_, get, _) -> get t) int_fields)
+
+let n_ints = List.length int_fields
 
 let add_scaled_delta t ~before ~after ~times =
-  if Array.length before <> 25 || Array.length after <> 25 then
+  if Array.length before <> n_ints || Array.length after <> n_ints then
     invalid_arg "Stats.add_scaled_delta: snapshots must come from snapshot_ints";
-  let d i = times * (after.(i) - before.(i)) in
-  t.fetches <- t.fetches + d 0;
-  t.same_line_fetches <- t.same_line_fetches + d 1;
-  t.wp_fetches <- t.wp_fetches + d 2;
-  t.full_fetches <- t.full_fetches + d 3;
-  t.icache_hits <- t.icache_hits + d 4;
-  t.icache_misses <- t.icache_misses + d 5;
-  t.tag_comparisons <- t.tag_comparisons + d 6;
-  t.hint_correct_wp <- t.hint_correct_wp + d 7;
-  t.hint_correct_normal <- t.hint_correct_normal + d 8;
-  t.hint_missed_saving <- t.hint_missed_saving + d 9;
-  t.hint_reaccess <- t.hint_reaccess + d 10;
-  t.waypred_correct <- t.waypred_correct + d 11;
-  t.waypred_wrong <- t.waypred_wrong + d 12;
-  t.l0_hits <- t.l0_hits + d 13;
-  t.l0_misses <- t.l0_misses + d 14;
-  t.drowsy_wakes <- t.drowsy_wakes + d 15;
-  t.link_follows <- t.link_follows + d 16;
-  t.link_writes <- t.link_writes + d 17;
-  t.links_invalidated <- t.links_invalidated + d 18;
-  t.itlb_misses <- t.itlb_misses + d 19;
-  t.dtlb_misses <- t.dtlb_misses + d 20;
-  t.dcache_accesses <- t.dcache_accesses + d 21;
-  t.dcache_misses <- t.dcache_misses + d 22;
-  t.cycles <- t.cycles + d 23;
-  t.retired_instrs <- t.retired_instrs + d 24
+  List.iteri
+    (fun i (_, get, set) -> set t (get t + (times * (after.(i) - before.(i)))))
+    int_fields
 
-let icache_energy_pj t = Wp_energy.Account.icache_pj t.account
-let total_energy_pj t = Wp_energy.Account.total_pj t.account
+let counts t =
+  {
+    Wp_energy.Price.fetches = t.fetches;
+    same_line_fetches = t.same_line_fetches;
+    tag_ways = t.tag_ways;
+    data_reads = t.data_reads;
+    icache_misses = t.icache_misses;
+    link_writes = t.link_writes;
+    l0_probes = t.l0_hits + t.l0_misses;
+    drowsy_wakes = t.drowsy_wakes;
+    itlb_misses = t.itlb_misses;
+    dtlb_misses = t.dtlb_misses;
+    dcache_accesses = t.dcache_accesses;
+    dcache_misses = t.dcache_misses;
+    cycles = t.cycles;
+  }
+
+let price t prices ~leakage_pj =
+  let e = Wp_energy.Price.price prices (counts t) ~leakage_pj in
+  Array.blit e 0 t.energy 0 (Array.length e)
+
+let energy_pj t b = t.energy.(Wp_energy.Price.bucket_index b)
+let icache_energy_pj t = energy_pj t Wp_energy.Price.Icache
+
+let total_energy_pj t =
+  t.energy.(0) +. t.energy.(1) +. t.energy.(2) +. t.energy.(3) +. t.energy.(4)
 
 let ratio num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den
 
@@ -137,50 +150,18 @@ let hint_accuracy t =
   if consulted = 0 then 1.0
   else ratio (t.hint_correct_wp + t.hint_correct_normal) consulted
 
-(* Field tables drive [equal] and [pp_diff] so the two can never
-   disagree about which fields exist; a counter added to [t] must be
-   added here (the differential tests cross-check totals, so an
-   omission shows up as a conservation-law failure, not silence). *)
-let int_fields =
-  [
-    ("fetches", fun t -> t.fetches);
-    ("same_line_fetches", fun t -> t.same_line_fetches);
-    ("wp_fetches", fun t -> t.wp_fetches);
-    ("full_fetches", fun t -> t.full_fetches);
-    ("icache_hits", fun t -> t.icache_hits);
-    ("icache_misses", fun t -> t.icache_misses);
-    ("tag_comparisons", fun t -> t.tag_comparisons);
-    ("hint_correct_wp", fun t -> t.hint_correct_wp);
-    ("hint_correct_normal", fun t -> t.hint_correct_normal);
-    ("hint_missed_saving", fun t -> t.hint_missed_saving);
-    ("hint_reaccess", fun t -> t.hint_reaccess);
-    ("waypred_correct", fun t -> t.waypred_correct);
-    ("waypred_wrong", fun t -> t.waypred_wrong);
-    ("l0_hits", fun t -> t.l0_hits);
-    ("l0_misses", fun t -> t.l0_misses);
-    ("drowsy_wakes", fun t -> t.drowsy_wakes);
-    ("link_follows", fun t -> t.link_follows);
-    ("link_writes", fun t -> t.link_writes);
-    ("links_invalidated", fun t -> t.links_invalidated);
-    ("itlb_misses", fun t -> t.itlb_misses);
-    ("dtlb_misses", fun t -> t.dtlb_misses);
-    ("dcache_accesses", fun t -> t.dcache_accesses);
-    ("dcache_misses", fun t -> t.dcache_misses);
-    ("cycles", fun t -> t.cycles);
-    ("retired_instrs", fun t -> t.retired_instrs);
-  ]
-
 let energy_fields =
-  [
-    ("icache_pj", fun t -> Wp_energy.Account.icache_pj t.account);
-    ("itlb_pj", fun t -> Wp_energy.Account.itlb_pj t.account);
-    ("dcache_pj", fun t -> Wp_energy.Account.dcache_pj t.account);
-    ("memory_pj", fun t -> Wp_energy.Account.memory_pj t.account);
-    ("core_pj", fun t -> Wp_energy.Account.core_pj t.account);
-  ]
+  List.map
+    (fun b -> (Wp_energy.Price.bucket_name b ^ "_pj", fun t -> energy_pj t b))
+    Wp_energy.Price.buckets
+
+let int_getters = List.map (fun (name, get, _) -> (name, get)) int_fields
+
+let layout =
+  String.concat "," (List.map fst int_getters @ List.map fst energy_fields)
 
 let equal a b =
-  List.for_all (fun (_, f) -> f a = f b) int_fields
+  List.for_all (fun (_, f) -> f a = f b) int_getters
   && List.for_all (fun (_, f) -> Float.equal (f a) (f b)) energy_fields
 
 let pp_diff ppf (a, b) =
@@ -189,7 +170,7 @@ let pp_diff ppf (a, b) =
       (fun (name, f) ->
         if f a = f b then None
         else Some (Printf.sprintf "%s: %d <> %d" name (f a) (f b)))
-      int_fields
+      int_getters
     @ List.filter_map
         (fun (name, f) ->
           if Float.equal (f a) (f b) then None
@@ -211,6 +192,13 @@ let pp_brief ppf t =
     (100.0 *. icache_miss_rate t)
     t.cycles (icache_energy_pj t)
 
+let pp_energy ppf t =
+  let total = total_energy_pj t in
+  Format.fprintf ppf
+    "E[pJ]: icache=%.0f itlb=%.0f dcache=%.0f mem=%.0f core=%.0f (icache %.1f%%)"
+    t.energy.(0) t.energy.(1) t.energy.(2) t.energy.(3) t.energy.(4)
+    (if total <= 0.0 then 0.0 else 100.0 *. t.energy.(0) /. total)
+
 let pp ppf t =
   Format.fprintf ppf
     "@[<v>fetches: %d (same-line %d, way-placed %d, full %d)@,\
@@ -227,4 +215,4 @@ let pp ppf t =
     t.links_invalidated t.itlb_misses t.dtlb_misses t.dcache_accesses
     t.dcache_misses t.cycles
     (ratio t.retired_instrs t.cycles)
-    Wp_energy.Account.pp t.account
+    pp_energy t

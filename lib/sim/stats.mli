@@ -1,4 +1,8 @@
-(** Counters and energy accounting for one simulation run. *)
+(** Counters and energy for one simulation run.
+
+    Every energy-bearing event is an integer counter; the five energy
+    buckets are priced from them once, when the run finalises
+    ({!price}), and stay zero until then. *)
 
 type t = {
   (* instruction fetch *)
@@ -9,6 +13,9 @@ type t = {
   mutable icache_hits : int;
   mutable icache_misses : int;
   mutable tag_comparisons : int;
+  mutable tag_ways : int;  (** I-cache tag ways searched (L1; not the filter's L0) *)
+  mutable data_reads : int;
+      (** I-cache data words read (L1; way-prediction re-reads included) *)
   (* way-hint bit (paper Section 4.1) *)
   mutable hint_correct_wp : int;
   mutable hint_correct_normal : int;
@@ -35,10 +42,18 @@ type t = {
   (* outcome *)
   mutable cycles : int;
   mutable retired_instrs : int;
-  account : Wp_energy.Account.t;
+  energy : float array;
+      (** picojoules, {!Wp_energy.Price.bucket_index}ed; written by
+          {!price} *)
 }
 
 val create : unit -> t
+
+val price : t -> Wp_energy.Price.t -> leakage_pj:float -> unit
+(** Set the energy buckets to the priced {!counts} (plus [leakage_pj]
+    in the I-cache bucket).  Called once, when the run finalises. *)
+
+val energy_pj : t -> Wp_energy.Price.bucket -> float
 val icache_energy_pj : t -> float
 val total_energy_pj : t -> float
 val icache_miss_rate : t -> float
@@ -60,6 +75,12 @@ val add_scaled_delta : t -> before:int array -> after:int array -> times:int -> 
     this is exactly what [times] repetitions of the recorded iteration
     would have accumulated.
     @raise Invalid_argument on snapshots of the wrong length. *)
+
+val layout : string
+(** The names of every counter and energy bucket, in field order — the
+    same tables {!equal} walks.  Marshalled [t] values are only
+    readable by code with the same layout; persistent stores key their
+    format on this string. *)
 
 val equal : t -> t -> bool
 (** Field-by-field equality over every counter and every energy bucket.

@@ -9,16 +9,14 @@
    observe.  The engine therefore multiplies the recorded iteration's
    effects by the remaining repetition count instead of replaying them.
 
-   Bit-identity is preserved by replaying each effect in its own
-   domain:
-   - integer counters are pure sums — snapshot deltas scaled by the
-     repetition count ({!Stats.add_scaled_delta});
-   - energy buckets are order-sensitive float accumulators — the
-     recorded iteration's per-bucket charge sequences are re-added in
-     recorded order ({!Wp_energy.Account.replay});
-   - the drowsy awake accumulator likewise replays its recorded
-     integer increments in order, and touched lines' raw timestamps
-     are advanced to exactly where a full replay would leave them.
+   Every effect of an iteration is an integer, so a skip is integer
+   arithmetic and exact:
+   - counters, energy events included, are pure sums — snapshot deltas
+     scaled by the repetition count ({!Stats.add_scaled_delta}); energy
+     is priced from the counters only when the run finalises;
+   - the drowsy awake accumulator adds its recorded integer increments
+     scaled likewise, and touched lines' raw timestamps are advanced to
+     exactly where a full replay would leave them.
 
    Detection is a static pre-scan, not a per-block tax.  Which trace
    stretches are periodic is a pure function of the block array — it
@@ -117,10 +115,9 @@ type ctx = {
   cycle_headroom : (unit -> int) option;
 }
 
-(* Growable int/float buffers; reused across attempts so steady
-   operation allocates nothing per snapshot. *)
+(* Growable int buffers; reused across attempts so steady operation
+   allocates nothing per snapshot. *)
 type ibuf = { mutable ia : int array; mutable ilen : int }
-type fbuf = { mutable fa : float array; mutable flen : int }
 
 let ibuf_create n = { ia = Array.make n 0; ilen = 0 }
 let ibuf_clear b = b.ilen <- 0
@@ -143,19 +140,6 @@ let ibuf_equal x y =
     || (Array.unsafe_get x.ia i = Array.unsafe_get y.ia i && go (i + 1))
   in
   go 0
-
-let fbuf_create n = { fa = Array.make n 0.0; flen = 0 }
-let fbuf_clear b = b.flen <- 0
-
-let fbuf_push b x =
-  let n = Array.length b.fa in
-  if b.flen = n then begin
-    let a = Array.make (2 * n) 0.0 in
-    Array.blit b.fa 0 a 0 n;
-    b.fa <- a
-  end;
-  Array.unsafe_set b.fa b.flen x;
-  b.flen <- b.flen + 1
 
 (* {2 The static pre-scan} *)
 
@@ -366,7 +350,6 @@ type driver = {
   mutable snap_a : ibuf;
   mutable snap_b : ibuf;
   awake : ibuf;
-  charges : fbuf array;
   mutable budget : int;
   (* Last observed fingerprint length: lets the driver pre-gate
      regions too small to repay even one snapshot without paying for
@@ -396,7 +379,6 @@ let make ctx =
     snap_a = ibuf_create 4096;
     snap_b = ibuf_create 4096;
     awake = ibuf_create 64;
-    charges = Array.init 5 (fun _ -> fbuf_create 64);
     budget = ctx.policy.snapshot_budget;
     snap_len_hint = 0;
     zero_ints = [||];
@@ -433,14 +415,13 @@ let clamp_iters d ~n_rem ~iter_cycles =
    iteration of the pattern (the scan's segment verification provides
    this even at a region's first boundary), so the touched-line set of
    the last [fetches] fetches is exactly one iteration's. *)
-let apply_effects d ~ints_delta ~charges ~lens ~awake ~awake_len ~fetches
-    ~iter_cycles ~iter_instrs ~iters ~period =
+let apply_effects d ~ints_delta ~awake ~awake_len ~fetches ~iter_cycles
+    ~iter_instrs ~iters ~period =
   let ctx = d.ctx in
   ctx.drowsy_advance
     ~since:(ctx.stats.Stats.fetches - fetches)
     ~delta:(iters * fetches);
   ctx.drowsy_replay awake ~len:awake_len ~iters;
-  Wp_energy.Account.replay ctx.stats.Stats.account ~charges ~lens ~iters;
   if Array.length d.zero_ints <> Array.length ints_delta then
     d.zero_ints <- Array.make (Array.length ints_delta) 0;
   Stats.add_scaled_delta ctx.stats ~before:d.zero_ints ~after:ints_delta
@@ -475,7 +456,6 @@ let try_cache d ~buf ~ids ~p ~je =
           else begin
             d.ctx.report.cache_hits <- d.ctx.report.cache_hits + 1;
             apply_effects d ~ints_delta:e.Snapshot_cache.e_ints
-              ~charges:e.Snapshot_cache.e_charges ~lens:e.Snapshot_cache.e_lens
               ~awake:e.Snapshot_cache.e_awake
               ~awake_len:(Array.length e.Snapshot_cache.e_awake)
               ~fetches:e.Snapshot_cache.e_fetches
@@ -494,8 +474,6 @@ let publish d ~key ~ints_before ~ints_after ~fetches ~iter_cycles ~iter_instrs
         {
           Snapshot_cache.e_fp = Array.sub d.snap_b.ia 0 d.snap_b.ilen;
           e_ints = ints_delta;
-          e_charges = Array.map (fun c -> Array.sub c.fa 0 c.flen) d.charges;
-          e_lens = Array.map (fun c -> c.flen) d.charges;
           e_awake = Array.sub d.awake.ia 0 d.awake.ilen;
           e_fetches = fetches;
           e_cycles = iter_cycles;
@@ -551,12 +529,6 @@ let attempt d ~p ~je ~skippable ~until =
       if !exhausted then rep.cost_gated <- rep.cost_gated + 1;
       let attempts = ref 0 in
       let live = until != never in
-      let record_probe ev =
-        match ev with
-        | Wp_obs.Probe.Energy { bucket; pj } ->
-            fbuf_push d.charges.(Wp_obs.Probe.bucket_index bucket) pj
-        | _ -> ()
-      in
       while (not !converged) && not !exhausted do
         if !(d.k) + p >= je || !attempts >= pol.max_attempts || d.budget <= 0
         then begin
@@ -566,14 +538,11 @@ let attempt d ~p ~je ~skippable ~until =
         else begin
           incr attempts;
           rep.recorded_iterations <- rep.recorded_iterations + 1;
-          Array.iter fbuf_clear d.charges;
           ibuf_clear d.awake;
           let ints_before = Stats.snapshot_ints ctx.stats in
           let fetches_before = ctx.stats.Stats.fetches in
           let cyc_before = !(ctx.cycles) in
           let ins_before = !(ctx.instrs) in
-          Wp_energy.Account.set_probe ctx.stats.Stats.account
-            (Some record_probe);
           ctx.set_awake_recorder (Some (fun aw -> ibuf_push d.awake aw));
           let stepped = ref 0 in
           let interrupted = ref false in
@@ -582,7 +551,6 @@ let attempt d ~p ~je ~skippable ~until =
             incr stepped;
             if live && until () then interrupted := true
           done;
-          Wp_energy.Account.set_probe ctx.stats.Stats.account None;
           ctx.set_awake_recorder None;
           if !interrupted && !stepped < p then begin
             (* preempted mid-iteration: the recording is unusable (the
@@ -614,10 +582,7 @@ let attempt d ~p ~je ~skippable ~until =
                 let ints_delta =
                   Array.init n (fun i -> ints_after.(i) - ints_before.(i))
                 in
-                apply_effects d ~ints_delta
-                  ~charges:(Array.map (fun c -> c.fa) d.charges)
-                  ~lens:(Array.map (fun c -> c.flen) d.charges)
-                  ~awake:d.awake.ia ~awake_len:d.awake.ilen ~fetches
+                apply_effects d ~ints_delta ~awake:d.awake.ia ~awake_len:d.awake.ilen ~fetches
                   ~iter_cycles ~iter_instrs ~iters:m ~period:p
               end
             end

@@ -7,8 +7,9 @@
     iteration boundaries, and then multiplies those effects by the
     remaining repetition count instead of replaying them — arithmetic
     instead of simulation, while staying bit-identical to the reference
-    loop (integer counters scale as sums; order-sensitive float
-    accumulators replay their recorded charge sequences in order).
+    loop: every effect, energy events included, is an integer count
+    that scales as a sum, and energy is priced from the counts only
+    when the run finalises.
 
     {b Detection is a memoised static pre-scan}: which trace stretches
     are periodic is a pure function of the block array, so the

@@ -1,5 +1,48 @@
 module Sampler = Wp_obs.Sampler
-module Probe = Wp_obs.Probe
+module Price = Wp_energy.Price
+
+(* --- pricing windows -------------------------------------------------- *)
+
+(* A window's counts, taken from the sampler counters that mirror the
+   [Stats.t] fields a run is priced from, so pricing the summed counts
+   of every window reproduces the run's buckets exactly. *)
+let counts (c : int array) ~cycles =
+  let get k = c.(Sampler.Counter.index k) in
+  let same_line_fetches = get Same_line_fetches in
+  {
+    Price.fetches =
+      same_line_fetches + get Wp_fetches + get Full_fetches + get Link_follows;
+    same_line_fetches;
+    tag_ways = get Tag_ways;
+    data_reads = get Data_reads;
+    icache_misses = get Icache_misses;
+    link_writes = get Link_writes;
+    l0_probes = get L0_hits + get L0_misses;
+    drowsy_wakes = get Drowsy_wakes;
+    itlb_misses = get Itlb_misses;
+    dtlb_misses = get Dtlb_misses;
+    dcache_accesses = get Dcache_accesses;
+    dcache_misses = get Dcache_misses;
+    cycles;
+  }
+
+let window_energy prices (w : Sampler.window) =
+  Price.price prices
+    (counts w.Sampler.counters ~cycles:(Sampler.cycles w))
+    ~leakage_pj:w.Sampler.leakage_pj
+
+let total_energy prices windows =
+  let cycles =
+    List.fold_left (fun acc w -> acc + Sampler.cycles w) 0 windows
+  in
+  let leakage_pj =
+    List.fold_left
+      (fun acc (w : Sampler.window) -> acc +. w.Sampler.leakage_pj)
+      0.0 windows
+  in
+  Price.price prices
+    (counts (Sampler.sum_counters windows) ~cycles)
+    ~leakage_pj
 
 (* --- RFC-4180 timeline CSV ----------------------------------------- *)
 
@@ -7,7 +50,7 @@ let csv_header =
   [ "window"; "start_cycle"; "end_cycle"; "cycles"; "retired"; "ipc"; "fetches" ]
   @ List.map Sampler.Counter.name Sampler.Counter.all
   @ [ "ways_enabled" ]
-  @ List.map (fun b -> Probe.bucket_name b ^ "_pj") Probe.buckets
+  @ List.map (fun b -> Price.bucket_name b ^ "_pj") Price.buckets
   @ [ "total_pj"; "markers" ]
 
 let ways_field (w : Sampler.window) =
@@ -25,8 +68,9 @@ let markers_field (w : Sampler.window) =
            Printf.sprintf "switch@%d=p%d" cycle next)
   |> String.concat " "
 
-let csv_row (w : Sampler.window) =
-  let total_pj = Array.fold_left ( +. ) 0.0 w.Sampler.energy_pj in
+let csv_row prices (w : Sampler.window) =
+  let energy = window_energy prices w in
+  let total_pj = Array.fold_left ( +. ) 0.0 energy in
   [
     string_of_int w.Sampler.index;
     string_of_int w.Sampler.start_cycle;
@@ -41,14 +85,14 @@ let csv_row (w : Sampler.window) =
       Sampler.Counter.all
   @ [ ways_field w ]
   @ List.map
-      (fun b -> Printf.sprintf "%.6f" w.Sampler.energy_pj.(Probe.bucket_index b))
-      Probe.buckets
+      (fun b -> Printf.sprintf "%.6f" energy.(Price.bucket_index b))
+      Price.buckets
   @ [ Printf.sprintf "%.6f" total_pj; markers_field w ]
 
-let csv_rows windows = List.map csv_row windows
+let csv_rows ~config windows = List.map (csv_row (Config.prices config)) windows
 
-let write_csv ~path windows =
-  Report.write_csv ~path ~header:csv_header ~rows:(csv_rows windows)
+let write_csv ~config ~path windows =
+  Report.write_csv ~path ~header:csv_header ~rows:(csv_rows ~config windows)
 
 (* --- Chrome trace-event JSON (chrome://tracing, Perfetto) ---------- *)
 
@@ -88,16 +132,17 @@ let metadata_event ~name arg =
       ("args", Report.Jobj [ ("name", Report.Jstring arg) ]);
     ]
 
-let window_events (w : Sampler.window) =
+let window_events prices (w : Sampler.window) =
   let ts = w.Sampler.start_cycle in
+  let energy = window_energy prices w in
   let counters =
     List.map
       (fun b ->
         counter_event
-          ~name:(Probe.bucket_name b ^ "_pj")
+          ~name:(Price.bucket_name b ^ "_pj")
           ~ts
-          (Report.Jfloat w.Sampler.energy_pj.(Probe.bucket_index b)))
-      Probe.buckets
+          (Report.Jfloat energy.(Price.bucket_index b)))
+      Price.buckets
     @ [
         counter_event ~name:"ipc" ~ts (Report.Jfloat (Sampler.ipc w));
         counter_event ~name:"fetches" ~ts
@@ -122,10 +167,11 @@ let window_events (w : Sampler.window) =
   in
   counters @ markers
 
-let chrome_trace ?(process_name = "wayplace-sim") windows =
+let chrome_trace ?(process_name = "wayplace-sim") ~config windows =
+  let prices = Config.prices config in
   let events =
     (metadata_event ~name:"process_name" process_name
-    :: List.concat_map window_events windows)
+    :: List.concat_map (window_events prices) windows)
   in
   Report.Jobj
     [
@@ -133,5 +179,5 @@ let chrome_trace ?(process_name = "wayplace-sim") windows =
       ("displayTimeUnit", Report.Jstring "ns");
     ]
 
-let write_chrome ?process_name ~path windows =
-  Report.write_json ~path (chrome_trace ?process_name windows)
+let write_chrome ?process_name ~config ~path windows =
+  Report.write_json ~path (chrome_trace ?process_name ~config windows)

@@ -12,18 +12,37 @@
       global instant events ([ph = "i"]) for resizes and flushes.
       Timestamps are cycles (the trace's logical microsecond).
 
-    Summing the CSV's counter or energy columns reproduces the run's
-    final [Stats.t] — the sampler's conservation law. *)
+    Windows carry event counts; energy is priced here, per window, with
+    the run's own price table ({!Config.prices}).  Summing the CSV's
+    counter columns reproduces the run's final [Stats.t] — the
+    sampler's conservation law — and pricing the summed counts
+    ({!total_energy}) reproduces its energy buckets bit for bit. *)
+
+val window_energy :
+  Wp_energy.Price.t -> Wp_obs.Sampler.window -> float array
+(** One window's energy, {!Wp_energy.Price.bucket_index}ed. *)
+
+val total_energy :
+  Wp_energy.Price.t -> Wp_obs.Sampler.window list -> float array
+(** The energy of all windows' summed counts: for the windows of one
+    run, [Float.equal] bucket by bucket to the run's {!Stats.energy_pj}
+    under the same prices. *)
 
 val csv_header : string list
 
-val csv_rows : Wp_obs.Sampler.window list -> string list list
+val csv_rows : config:Config.t -> Wp_obs.Sampler.window list -> string list list
 
 val write_csv :
-  path:string -> Wp_obs.Sampler.window list -> (unit, string) result
+  config:Config.t ->
+  path:string ->
+  Wp_obs.Sampler.window list ->
+  (unit, string) result
 
 val chrome_trace :
-  ?process_name:string -> Wp_obs.Sampler.window list -> Report.json
+  ?process_name:string ->
+  config:Config.t ->
+  Wp_obs.Sampler.window list ->
+  Report.json
 (** The trace-event object ([{"traceEvents": [...]}]).  Every event
     carries the required [ph]/[ts]/[pid] fields and timestamps are
     non-decreasing in stream order.  [process_name] defaults to
@@ -31,6 +50,7 @@ val chrome_trace :
 
 val write_chrome :
   ?process_name:string ->
+  config:Config.t ->
   path:string ->
   Wp_obs.Sampler.window list ->
   (unit, string) result

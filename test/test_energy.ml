@@ -1,9 +1,9 @@
-(* Tests for the energy model: per-event CAM energies, the account
-   buckets and ED products. *)
+(* Tests for the energy model: per-event CAM energies, pricing event
+   counts into buckets, and ED products. *)
 
 module Params = Wayplace.Energy.Params
 module Cam_energy = Wayplace.Energy.Cam_energy
-module Account = Wayplace.Energy.Account
+module Price = Wayplace.Energy.Price
 module Ed = Wayplace.Energy.Ed
 module Geometry = Wayplace.Cache.Geometry
 
@@ -63,26 +63,182 @@ let test_way_placed_access_is_cheap () =
   let placed = e32.Cam_energy.tag_search_one_pj +. e32.Cam_energy.data_word_pj in
   Alcotest.(check bool) "at least 3x cheaper" true (placed *. 3.0 < normal)
 
-(* --- Account --- *)
+(* --- Price: hand-computed Cam_energy products --- *)
 
-let test_account_buckets () =
-  let a = Account.create () in
-  Account.add_icache a 10.0;
-  Account.add_icache a 5.0;
-  Account.add_itlb a 1.0;
-  Account.add_dcache a 2.0;
-  Account.add_memory a 3.0;
-  Account.add_core a 4.0;
-  feq "icache" 15.0 (Account.icache_pj a);
-  feq "itlb" 1.0 (Account.itlb_pj a);
-  feq "dcache" 2.0 (Account.dcache_pj a);
-  feq "memory" 3.0 (Account.memory_pj a);
-  feq "core" 4.0 (Account.core_pj a);
-  feq "total" 25.0 (Account.total_pj a);
-  feq "share" 0.6 (Account.icache_share a)
+let params = Params.default
+let tlb32 = Cam_energy.tlb_lookup_pj params ~entries:32 ~page_bytes:1024
 
-let test_account_empty_share () =
-  feq "empty share" 0.0 (Account.icache_share (Account.create ()))
+let prices ?(memo = false) ?l0 () =
+  Price.make params ~icache:xscale ~dcache:xscale ~itlb_entries:32
+    ~dtlb_entries:32 ~page_bytes:1024 ~memo ~l0
+
+let no_events =
+  {
+    Price.fetches = 0;
+    same_line_fetches = 0;
+    tag_ways = 0;
+    data_reads = 0;
+    icache_misses = 0;
+    link_writes = 0;
+    l0_probes = 0;
+    drowsy_wakes = 0;
+    itlb_misses = 0;
+    dtlb_misses = 0;
+    dcache_accesses = 0;
+    dcache_misses = 0;
+    cycles = 0;
+  }
+
+let check_bucket name b expected actual =
+  feq
+    (Printf.sprintf "%s: %s" name (Price.bucket_name b))
+    expected
+    actual.(Price.bucket_index b)
+
+let test_price_buckets () =
+  Alcotest.(check (list string)) "bucket order"
+    [ "icache"; "itlb"; "dcache"; "memory"; "core" ]
+    (List.map Price.bucket_name Price.buckets);
+  List.iteri
+    (fun i b -> Alcotest.(check int) "dense index" i (Price.bucket_index b))
+    Price.buckets;
+  let e = Price.price (prices ()) no_events ~leakage_pj:0.0 in
+  Array.iter (feq "no events, no energy" 0.0) e
+
+(* 10 fetches, 4 of them same-line; the other 6 search all 32 ways and
+   translate; 2 miss and fill; 3 data accesses, one a miss; one I-TLB
+   walk; 40 cycles. *)
+let test_price_baseline () =
+  let e =
+    Price.price (prices ())
+      {
+        no_events with
+        Price.fetches = 10;
+        same_line_fetches = 4;
+        tag_ways = 6 * 32;
+        data_reads = 10;
+        icache_misses = 2;
+        itlb_misses = 1;
+        dcache_accesses = 3;
+        dcache_misses = 1;
+        cycles = 40;
+      }
+      ~leakage_pj:0.0
+  in
+  check_bucket "baseline" Price.Icache
+    ((6.0 *. e32.Cam_energy.tag_search_full_pj)
+    +. (10.0 *. e32.Cam_energy.data_word_pj)
+    +. (2.0 *. e32.Cam_energy.line_fill_pj))
+    e;
+  check_bucket "baseline" Price.Itlb (6.0 *. tlb32) e;
+  check_bucket "baseline" Price.Dcache
+    ((3.0
+     *. (tlb32 +. e32.Cam_energy.tag_search_full_pj
+       +. e32.Cam_energy.data_word_pj))
+    +. e32.Cam_energy.line_fill_pj)
+    e;
+  check_bucket "baseline" Price.Memory (4.0 *. params.Params.memory_access_pj) e;
+  check_bucket "baseline" Price.Core
+    (40.0 *. params.Params.core_rest_pj_per_cycle)
+    e
+
+(* 5 way-placed accesses (one way each), 2 full searches, and one
+   wrong "way-placed" hint: a wasted one-way probe, then a third full
+   search.  Every fetch reads one word. *)
+let test_price_wayplace_reaccess () =
+  let e =
+    Price.price (prices ())
+      {
+        no_events with
+        Price.fetches = 8;
+        tag_ways = 5 + (3 * 32) + 1;
+        data_reads = 8;
+      }
+      ~leakage_pj:0.0
+  in
+  check_bucket "wayplace" Price.Icache
+    ((5.0 *. e32.Cam_energy.tag_search_one_pj)
+    +. (3.0 *. e32.Cam_energy.tag_search_full_pj)
+    +. e32.Cam_energy.tag_search_one_pj
+    +. (8.0 *. e32.Cam_energy.data_word_pj))
+    e
+
+(* Way-memoization pays the link overhead on every data read and fill:
+   3 full searches, 5 link follows (no tag search), 2 same-line, one
+   fill, 3 link writes. *)
+let test_price_memo_factor () =
+  let e =
+    Price.price (prices ~memo:true ())
+      {
+        no_events with
+        Price.fetches = 10;
+        tag_ways = 3 * 32;
+        data_reads = 10;
+        icache_misses = 1;
+        link_writes = 3;
+      }
+      ~leakage_pj:0.0
+  in
+  let m = e32.Cam_energy.memo_data_factor in
+  check_bucket "waymemo" Price.Icache
+    ((3.0 *. e32.Cam_energy.tag_search_full_pj)
+    +. (10.0 *. e32.Cam_energy.data_word_pj *. m)
+    +. (e32.Cam_energy.line_fill_pj *. m)
+    +. (3.0 *. e32.Cam_energy.link_write_pj))
+    e
+
+(* Way prediction: 2 correct one-way probes, a mispredict that finds
+   the line in the second cycle (1 + 31 ways, the word read twice) and
+   a cold set searched whole (32 ways, one word). *)
+let test_price_waypred_rereads () =
+  let e =
+    Price.price (prices ())
+      { no_events with Price.fetches = 4; tag_ways = 1 + 1 + 32 + 32; data_reads = 5 }
+      ~leakage_pj:0.0
+  in
+  check_bucket "waypred" Price.Icache
+    ((2.0 *. e32.Cam_energy.tag_search_one_pj)
+    +. (2.0 *. e32.Cam_energy.tag_search_full_pj)
+    +. (5.0 *. e32.Cam_energy.data_word_pj))
+    e
+
+(* Filter cache: every one of 10 fetches streams its word from the
+   512 B L0, 6 of them probe its single way, and the 2 L0 misses make a
+   full L1 access (one of them filling). *)
+let test_price_filter_split () =
+  let l0 = Geometry.make ~size_bytes:512 ~assoc:1 ~line_bytes:32 in
+  let e0 = Cam_energy.of_geometry params l0 in
+  let e =
+    Price.price (prices ~l0 ())
+      {
+        no_events with
+        Price.fetches = 10;
+        l0_probes = 6;
+        tag_ways = 2 * 32;
+        data_reads = 2;
+        icache_misses = 1;
+      }
+      ~leakage_pj:0.0
+  in
+  check_bucket "filter" Price.Icache
+    ((2.0 *. e32.Cam_energy.tag_search_full_pj)
+    +. (2.0 *. e32.Cam_energy.data_word_pj)
+    +. e32.Cam_energy.line_fill_pj
+    +. (6.0 *. e0.Cam_energy.tag_search_one_pj)
+    +. (10.0 *. e0.Cam_energy.data_word_pj))
+    e
+
+let test_price_drowsy_leakage () =
+  let e =
+    Price.price (prices ()) { no_events with Price.drowsy_wakes = 3 }
+      ~leakage_pj:12.5
+  in
+  check_bucket "drowsy" Price.Icache
+    ((3.0 *. params.Params.drowsy_wake_pj) +. 12.5)
+    e;
+  List.iter
+    (fun b -> if b <> Price.Icache then check_bucket "drowsy" b 0.0 e)
+    Price.buckets
 
 (* --- Ed --- *)
 
@@ -127,10 +283,18 @@ let () =
           Alcotest.test_case "tlb energy" `Quick test_tlb_energy;
           Alcotest.test_case "way-placed cheapness" `Quick test_way_placed_access_is_cheap;
         ] );
-      ( "account",
+      ( "price",
         [
-          Alcotest.test_case "buckets" `Quick test_account_buckets;
-          Alcotest.test_case "empty share" `Quick test_account_empty_share;
+          Alcotest.test_case "buckets" `Quick test_price_buckets;
+          Alcotest.test_case "baseline" `Quick test_price_baseline;
+          Alcotest.test_case "way-placement re-access" `Quick
+            test_price_wayplace_reaccess;
+          Alcotest.test_case "way-memo factor" `Quick test_price_memo_factor;
+          Alcotest.test_case "way-prediction re-reads" `Quick
+            test_price_waypred_rereads;
+          Alcotest.test_case "filter L0 and L1" `Quick test_price_filter_split;
+          Alcotest.test_case "drowsy wakes and leakage" `Quick
+            test_price_drowsy_leakage;
         ] );
       ( "ed",
         [

@@ -141,7 +141,7 @@ let test_icache_share_plausible () =
      share must sit in a plausible band (10-35%). *)
   let prep = prepare "crc" in
   let stats = Runner.run_scheme prep (Config.xscale Config.Baseline) in
-  let share = Wayplace.Energy.Account.icache_share stats.Stats.account in
+  let share = Stats.icache_energy_pj stats /. Stats.total_energy_pj stats in
   Alcotest.(check bool) "share in [0.08, 0.40]" true (share > 0.08 && share < 0.40)
 
 (* Property: on randomly mutated miniature specs, every scheme

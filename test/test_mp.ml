@@ -424,8 +424,6 @@ let test_shootdown_fingerprint_misses () =
     {
       Snapshot_cache.e_fp = Array.copy warm_fp;
       e_ints = [||];
-      e_charges = [||];
-      e_lens = [||];
       e_awake = [||];
       e_fetches = 0;
       e_cycles = 1;

@@ -10,7 +10,7 @@ module Stats = Wayplace.Sim.Stats
 module Runner = Wayplace.Sim.Runner
 module Timeline = Wayplace.Sim.Timeline
 module Report = Wayplace.Sim.Report
-module Account = Wayplace.Energy.Account
+module Price = Wayplace.Energy.Price
 module Mibench = Wayplace.Workloads.Mibench
 
 let wp16 = Config.Way_placement { area_bytes = 16 * 1024 }
@@ -76,6 +76,8 @@ let counter_expected (s : Stats.t) = function
   | Sampler.Counter.L0_hits -> Some s.Stats.l0_hits
   | Sampler.Counter.L0_misses -> Some s.Stats.l0_misses
   | Sampler.Counter.Tag_comparisons -> Some s.Stats.tag_comparisons
+  | Sampler.Counter.Tag_ways -> Some s.Stats.tag_ways
+  | Sampler.Counter.Data_reads -> Some s.Stats.data_reads
   | Sampler.Counter.Hint_correct_wp -> Some s.Stats.hint_correct_wp
   | Sampler.Counter.Hint_correct_normal -> Some s.Stats.hint_correct_normal
   | Sampler.Counter.Hint_missed_saving -> Some s.Stats.hint_missed_saving
@@ -91,14 +93,7 @@ let counter_expected (s : Stats.t) = function
   | Sampler.Counter.Dcache_misses -> Some s.Stats.dcache_misses
   | Sampler.Counter.Line_fills | Sampler.Counter.Evictions -> None
 
-let bucket_account acct = function
-  | Probe.Icache -> Account.icache_pj acct
-  | Probe.Itlb -> Account.itlb_pj acct
-  | Probe.Dcache -> Account.dcache_pj acct
-  | Probe.Memory -> Account.memory_pj acct
-  | Probe.Core -> Account.core_pj acct
-
-let check_conservation name (stats : Stats.t) windows =
+let check_conservation name config (stats : Stats.t) windows =
   let sums = Sampler.sum_counters windows in
   List.iter
     (fun c ->
@@ -118,40 +113,47 @@ let check_conservation name (stats : Stats.t) windows =
   Alcotest.(check int)
     (name ^ ": retired window sum")
     stats.Stats.retired_instrs retired;
-  (* Cumulative per-bucket energy mirrors the account's additions in
-     order, so the final value is bit-identical... *)
-  let cum = Sampler.final_cum_energy windows in
+  (* The windows' summed counts, priced with the run's table, give the
+     run's buckets bit for bit... *)
+  let prices = Config.prices config in
+  let cum = Timeline.total_energy prices windows in
   List.iter
     (fun b ->
       Alcotest.(check bool)
         (Printf.sprintf "%s: cumulative %s bit-identical" name
-           (Probe.bucket_name b))
+           (Price.bucket_name b))
         true
-        (Float.equal
-           (bucket_account stats.Stats.account b)
-           cum.(Probe.bucket_index b)))
-    Probe.buckets;
-  (* ...while re-summing the window-local deltas reassociates the
+        (Float.equal (Stats.energy_pj stats b) cum.(Price.bucket_index b)))
+    Price.buckets;
+  (* ...while summing the windows' own priced energy reassociates the
      additions, so that reproduction is only tolerance-exact. *)
-  let deltas = Sampler.sum_energy windows in
+  let deltas = Array.make (List.length Price.buckets) 0.0 in
+  List.iter
+    (fun w ->
+      Array.iteri
+        (fun i e -> deltas.(i) <- deltas.(i) +. e)
+        (Timeline.window_energy prices w))
+    windows;
   List.iter
     (fun b ->
-      let expected = bucket_account stats.Stats.account b in
-      let actual = deltas.(Probe.bucket_index b) in
+      let expected = Stats.energy_pj stats b in
+      let actual = deltas.(Price.bucket_index b) in
       let tol = 1e-9 *. Float.max 1.0 (Float.abs expected) in
       Alcotest.(check bool)
-        (Printf.sprintf "%s: window-delta %s sum" name (Probe.bucket_name b))
+        (Printf.sprintf "%s: window-delta %s sum" name (Price.bucket_name b))
         true
         (Float.abs (actual -. expected) <= tol))
-    Probe.buckets
+    Price.buckets
 
 let test_conservation_baseline () =
-  let stats, windows = timeline (Config.xscale Config.Baseline) in
-  check_conservation "baseline" stats windows
+  let config = Config.xscale Config.Baseline in
+  let stats, windows = timeline config in
+  check_conservation "baseline" config stats windows
 
 let test_conservation_wayplace () =
-  let stats, windows = timeline (Config.xscale wp16) in
-  check_conservation "wayplace" stats windows
+  let config = Config.xscale wp16 in
+  let stats, windows = timeline config in
+  check_conservation "wayplace" config stats windows
 
 let test_conservation_drowsy () =
   let config =
@@ -162,7 +164,7 @@ let test_conservation_drowsy () =
   let stats, windows = timeline config in
   Alcotest.(check bool) "drowsy wakes observed" true
     (stats.Stats.drowsy_wakes > 0);
-  check_conservation "drowsy" stats windows
+  check_conservation "drowsy" config stats windows
 
 let test_probe_leaves_stats_identical () =
   let prep = Lazy.force tiny_prep in
@@ -233,8 +235,9 @@ let test_resize_markers_in_right_windows () =
 (* --- CSV export --- *)
 
 let test_timeline_csv_shape () =
-  let _stats, windows = timeline (Config.xscale wp16) in
-  let rows = Timeline.csv_rows windows in
+  let config = Config.xscale wp16 in
+  let _stats, windows = timeline config in
+  let rows = Timeline.csv_rows ~config windows in
   Alcotest.(check int) "one row per window" (List.length windows)
     (List.length rows);
   let width = List.length Timeline.csv_header in
@@ -288,7 +291,10 @@ let test_chrome_trace_structure () =
       ~schedule:[ (n / 2, 2048) ]
       ~window_cycles:2048 prep (Config.xscale wp16)
   in
-  let s = Report.json_to_string (Timeline.chrome_trace windows) in
+  let s =
+    Report.json_to_string
+      (Timeline.chrome_trace ~config:(Config.xscale wp16) windows)
+  in
   Alcotest.(check bool) "top-level traceEvents array" true
     (count_substring s "\"traceEvents\":[" = 1);
   Alcotest.(check bool) "displayTimeUnit present" true
@@ -315,7 +321,10 @@ let test_chrome_trace_structure () =
     (List.sort compare ts = ts)
 
 let test_chrome_trace_empty () =
-  let s = Report.json_to_string (Timeline.chrome_trace []) in
+  let s =
+    Report.json_to_string
+      (Timeline.chrome_trace ~config:(Config.xscale wp16) [])
+  in
   (* Still a valid trace: the metadata event alone. *)
   Alcotest.(check int) "only the metadata event" 1
     (count_substring s "\"ph\":")

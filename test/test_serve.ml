@@ -393,7 +393,12 @@ let test_store_corruption_recovery () =
       ("wrong magic", "NOTMAGIC\n" ^ String.make 40 'x');
       ( "torn payload",
         (* valid magic, digest of a different payload *)
-        "wpstore1\n" ^ String.make 16 'd' ^ "garbage payload" );
+        Store.magic ^ String.make 16 'd' ^ "garbage payload" );
+      ( "old layout header",
+        (* an intact entry under a header that names no stats layout:
+           its payload must never be unmarshalled *)
+        let payload = Marshal.to_string stats [] in
+        "wpstore1\n" ^ Digest.string payload ^ payload );
     ]
   in
   List.iter

@@ -81,8 +81,10 @@ let test_dmem_miss_then_hit () =
   Alcotest.(check int) "hit has no stall" 0 stall2;
   Alcotest.(check int) "accesses" 2 stats.Stats.dcache_accesses;
   Alcotest.(check int) "one miss" 1 stats.Stats.dcache_misses;
+  Stats.price stats (Config.prices (Config.xscale Config.Baseline))
+    ~leakage_pj:0.0;
   Alcotest.(check bool) "energy charged" true
-    (Wayplace.Energy.Account.dcache_pj stats.Stats.account > 0.0)
+    (Stats.energy_pj stats Wayplace.Energy.Price.Dcache > 0.0)
 
 (* --- Fetch_engine helpers --- *)
 
@@ -217,11 +219,15 @@ let test_wm_same_line_uses_memo_factor () =
   let e = engine Config.Way_memoization in
   let stats = Stats.create () in
   fetch_seq e stats code_base 8;
-  let memo_icache = Wayplace.Energy.Account.icache_pj stats.Stats.account in
+  Stats.price stats (Config.prices (Config.xscale Config.Way_memoization))
+    ~leakage_pj:0.0;
+  let memo_icache = Stats.icache_energy_pj stats in
   let b = engine Config.Baseline in
   let bstats = Stats.create () in
   fetch_seq b bstats code_base 8;
-  let base_icache = Wayplace.Energy.Account.icache_pj bstats.Stats.account in
+  Stats.price bstats (Config.prices (Config.xscale Config.Baseline))
+    ~leakage_pj:0.0;
+  let base_icache = Stats.icache_energy_pj bstats in
   Alcotest.(check bool) "memo pays the 21% data overhead" true
     (memo_icache > base_icache)
 
@@ -229,12 +235,16 @@ let test_wm_same_line_uses_memo_factor () =
    from the L0, so it must be charged the L0's (much smaller) data-word
    energy, not the 32KB L1's. *)
 let test_filter_same_line_charges_l0 () =
-  let e = engine (Config.Filter_cache { l0_bytes = 512 }) in
+  let scheme = Config.Filter_cache { l0_bytes = 512 } in
+  let e = engine scheme in
+  let prices = Config.prices (Config.xscale scheme) in
   let stats = Stats.create () in
   ignore (Fetch_engine.fetch e stats code_base);
-  let before = Wayplace.Energy.Account.icache_pj stats.Stats.account in
+  Stats.price stats prices ~leakage_pj:0.0;
+  let before = Stats.icache_energy_pj stats in
   ignore (Fetch_engine.fetch e stats (code_base + 4));
-  let delta = Wayplace.Energy.Account.icache_pj stats.Stats.account -. before in
+  Stats.price stats prices ~leakage_pj:0.0;
+  let delta = Stats.icache_energy_pj stats -. before in
   let params = Wayplace.Energy.Params.default in
   let l0_energies =
     Wayplace.Energy.Cam_energy.of_geometry params

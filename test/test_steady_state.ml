@@ -217,8 +217,6 @@ let dummy_entry fp =
   {
     Snapshot_cache.e_fp = Array.copy fp;
     e_ints = [| 1; 2 |];
-    e_charges = [| [| 1.0 |] |];
-    e_lens = [| 1 |];
     e_awake = [||];
     e_fetches = 1;
     e_cycles = 10;
