@@ -1195,7 +1195,7 @@ let parse_mix ~mix ~coverage =
       match
         int_of_string_opt (String.sub mix plen (String.length mix - plen))
       with
-      | Some seed -> Ok (Wayplace.Check.Progen.mix_of_seed seed)
+      | Some seed -> Ok (Wayplace.Mp.Mix.of_seed seed)
       | None ->
           Error
             (Printf.sprintf "bad mix %S: random: needs an integer seed" mix)

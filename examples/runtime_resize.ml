@@ -60,9 +60,10 @@ let () =
   let module S = Wayplace.Obs.Sampler in
   let sampler = S.create ~window_cycles:50_000 () in
   let (_ : Stats.t) =
-    Simulator.run_probed ~probe:(S.probe sampler)
+    Simulator.run_compiled ~probe:(S.probe sampler)
       ~schedule:[ (half, 2 * 1024) ]
-      ~config:(config 16) ~program ~layout ~trace
+      ~config:(config 16) ~trace
+      (Wayplace.Sim.Compiled_trace.make ~program ~layout)
   in
   let windows = S.finish sampler in
   Format.printf "@.timeline (50k-cycle windows):@.";

@@ -508,6 +508,50 @@ let check_fastpath ~where prepared (config : Config.t) (fast : Stats.t) =
   in
   cached_ff @ no_ff @ vs_reference
 
+(* The resize law: an OS resize schedule runs on the fast step, and
+   must equal the per-instruction reference step under the same
+   schedule.  The schedule is a pure function of the spec's seed: a
+   resize before block 0, then up to three ascending points, the last
+   possibly past the trace end (which never fires). *)
+let resize_schedule_of_seed seed ~nblocks =
+  let rng = Wp_workloads.Rng.create (seed lxor 0x5E512E) in
+  let area () = 1024 lsl Wp_workloads.Rng.int rng 4 in
+  let rec points at left =
+    if left = 0 || at > nblocks then []
+    else
+      let at = at + Wp_workloads.Rng.int_in rng ~min:1 ~max:(max 1 (nblocks / 2)) in
+      (at, area ()) :: points at (left - 1)
+  in
+  (0, area ()) :: points 0 (Wp_workloads.Rng.int_in rng ~min:0 ~max:3)
+
+let check_resize ~where ~seed prepared (config : Config.t) (plain : Stats.t) =
+  let trace = prepared.Runner.trace_large in
+  let compiled = Runner.compiled_for prepared config in
+  let schedule =
+    resize_schedule_of_seed seed ~nblocks:(Array.length trace.Tracer.blocks)
+  in
+  let run ~reference_only =
+    Wp_sim.Simulator.run_compiled ~schedule ~reference_only ~config ~trace
+      compiled
+  in
+  match (run ~reference_only:false, run ~reference_only:true) with
+  | exception exn ->
+      [
+        Printf.sprintf "%s: resized run raised: %s" where
+          (Printexc.to_string exn);
+      ]
+  | fast, reference ->
+      (if Stats.equal fast reference then []
+       else
+         [
+           Printf.sprintf "%s: resized fast step diverges from reference: %s"
+             where
+             (Format.asprintf "%a" Stats.pp_diff (fast, reference));
+         ])
+      @
+      if fast.Stats.fetches = plain.Stats.fetches then []
+      else [ Printf.sprintf "%s: resizing changed the fetch count" where ]
+
 (* ------------------------------------------------------------------ *)
 (* Multiprogramming checks (PR 8).  Two laws tie the mp machine to the
    single-process simulator and to itself:
@@ -640,9 +684,10 @@ let check_mp_mix ~where spec (config : Config.t) =
               if cached.Mp.switches <> fast.Mp.switches then
                 fail "mp snapshot-cache run saw %d switches, plain saw %d"
                   cached.Mp.switches fast.Mp.switches);
-          (* probe invariance: a probed replay (which also forces the
-             reference loop) must not move a single bit, and its switch
-             markers must recount the machine's switches. *)
+          (* probe invariance: a probed replay (fast step, no
+             fast-forward, per-block retire ticks) must not move a
+             single bit, and its switch markers must recount the
+             machine's switches. *)
           let sampler = Sampler.create ~window_cycles:1024 () in
           (match Mp.run ~probe:(Sampler.probe sampler) ~config ~options mix with
           | exception exn -> fail "probed mp run raised: %s" (Printexc.to_string exn)
@@ -800,6 +845,13 @@ let check_spec ?(geometries = default_geometries) spec =
                    in
                    check_counters ~where config stats trace
                    @ check_fastpath ~where prepared config stats
+                   @ (match config.Config.scheme with
+                     | Config.Way_placement _ ->
+                         check_resize ~where ~seed:spec.Spec.seed prepared
+                           config stats
+                     | Config.Baseline | Config.Way_memoization
+                     | Config.Way_prediction | Config.Filter_cache _ ->
+                         [])
                    @ check_oracle ~where config stats ~graph ~layout ~trace
                    (* probed rerun doubles the cell's cost: first
                       geometry only *)

@@ -25,6 +25,11 @@
       way-memoization (under round-robin — blind link follows skip LRU
       touches by design) and way-prediction (any policy) must not
       change a single hit/miss decision relative to the baseline;
+    - {b resize law} — on every way-placement cell, a run under an OS
+      resize schedule drawn from the spec's seed (always resizing
+      before block 0) on the fast step is [Stats.equal] to the
+      per-instruction reference step under the same schedule, and
+      keeps the cell's fetch count;
     - {b probe invariance} — rerunning a cell with a
       {!Wp_obs.Sampler} attached leaves the statistics bit-identical
       ({!Wp_sim.Stats.equal}), and the sampler's window sums reproduce
@@ -35,7 +40,7 @@
       single-process {!Wp_mp.Machine} run is [Stats.equal] to the
       cell's own [Simulator.run] (the mp identity oracle, every cell of
       the first geometry); under real time-slicing against a fixed
-      cache-polluting partner, the mp fast path, the mp reference loop
+      cache-polluting partner, the mp fast step, the mp reference step
       and a probed replay agree bit-for-bit per process and in
       aggregate, per-process counters sum to the aggregate exactly, and
       the sampler's switch markers recount the machine's switches.

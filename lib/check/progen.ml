@@ -1,39 +1,7 @@
 open Wp_workloads
 
-let generate rng ~name =
-  let num_funcs = Rng.int_in rng ~min:1 ~max:15 in
-  let blocks_per_func_min = Rng.int_in rng ~min:1 ~max:3 in
-  let blocks_per_func_max =
-    blocks_per_func_min + Rng.int_in rng ~min:0 ~max:8
-  in
-  let instrs_per_block_min = Rng.int_in rng ~min:1 ~max:4 in
-  let instrs_per_block_max =
-    instrs_per_block_min + Rng.int_in rng ~min:0 ~max:8
-  in
-  let mem_ratio = Rng.float rng *. 0.5 in
-  let mac_ratio = Rng.float rng *. (1.0 -. mem_ratio) *. 0.5 in
-  {
-    Spec.name;
-    seed = Rng.int rng 1_000_000;
-    num_funcs;
-    blocks_per_func_min;
-    blocks_per_func_max;
-    instrs_per_block_min;
-    instrs_per_block_max;
-    max_loop_depth = Rng.int_in rng ~min:0 ~max:3;
-    avg_loop_trips = Rng.int_in rng ~min:1 ~max:8;
-    hot_func_fraction = Rng.float rng;
-    hot_call_bias = Rng.float rng;
-    if_taken_bias = Rng.float rng;
-    mem_ratio;
-    mac_ratio;
-    data_working_set_bytes = 64 lsl Rng.int_in rng ~min:0 ~max:8;
-    trace_blocks_large = Rng.int_in rng ~min:80 ~max:1200;
-    trace_blocks_small = Rng.int_in rng ~min:40 ~max:400;
-  }
-
 let spec_of_seed seed =
-  let spec = generate (Rng.create seed) ~name:(Printf.sprintf "fuzz%d" seed) in
+  let spec = Spec.random (Rng.create seed) ~name:(Printf.sprintf "fuzz%d" seed) in
   (match Spec.validate spec with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Progen.spec_of_seed: generated invalid spec: " ^ msg));
@@ -83,36 +51,8 @@ let rec minimize ~failing spec =
   | None -> spec
 
 (* ------------------------------------------------------------------ *)
-(* Process mixes for the multiprogramming layer: a random mix is 2-4
-   random specs (with trimmed trace budgets, so a whole mp case still
-   simulates quickly) plus per-process placement flags and priorities.
-   Like specs, a mix is a pure function of its seed, and shrinking
-   works at the spec level: drop a process, or shrink one member. *)
-
-let generate_mix rng ~name =
-  let n = Rng.int_in rng ~min:2 ~max:4 in
-  List.init n (fun i ->
-      let spec = generate rng ~name:(Printf.sprintf "%s.p%d" name i) in
-      let spec =
-        {
-          spec with
-          Spec.trace_blocks_large = max 40 (spec.Spec.trace_blocks_large / 3);
-          trace_blocks_small = max 20 (spec.Spec.trace_blocks_small / 3);
-        }
-      in
-      let placed = Rng.int rng 4 > 0 (* 3 in 4 way-placed *) in
-      let priority = Rng.int_in rng ~min:0 ~max:2 in
-      { Wp_mp.Mix.pname = spec.Spec.name; spec; placed; priority })
-
-let mix_of_seed seed =
-  let mix =
-    generate_mix (Rng.create seed) ~name:(Printf.sprintf "mix%d" seed)
-  in
-  (match Wp_mp.Mix.validate mix with
-  | Ok () -> ()
-  | Error msg ->
-      invalid_arg ("Progen.mix_of_seed: generated invalid mix: " ^ msg));
-  mix
+(* Process mixes ({!Wp_mp.Mix.of_seed}) shrink at the spec level: drop
+   a process, or shrink one member. *)
 
 let mix_size mix =
   List.fold_left

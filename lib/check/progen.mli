@@ -8,14 +8,9 @@
     alone. *)
 
 val spec_of_seed : int -> Wp_workloads.Spec.t
-(** The fuzz program for a seed: a pure function, always valid under
-    {!Wp_workloads.Spec.validate}.  Shapes span one-function straight-line
-    code up to ~15 functions with nested loops and layered calls; trace
-    budgets stay small enough that one case simulates in milliseconds. *)
-
-val generate : Wp_workloads.Rng.t -> name:string -> Wp_workloads.Spec.t
-(** The generator underneath {!spec_of_seed}, on a caller-owned
-    stream. *)
+(** The fuzz program for a seed: {!Wp_workloads.Spec.random} on the
+    seed's stream — a pure function, always valid under
+    {!Wp_workloads.Spec.validate}. *)
 
 val size : Wp_workloads.Spec.t -> int
 (** Shrink metric: static-code estimate plus dynamic budgets.  Every
@@ -36,19 +31,10 @@ val minimize :
 
 (** {2 Process mixes}
 
-    The multiprogramming analogue: a random {!Wp_mp.Mix.t} is 2-4
-    random specs with trimmed trace budgets plus per-process placement
-    flags and priorities, a pure function of its seed.  Shrinking works
-    at the spec level — drop a whole process, or shrink one member with
+    Shrinking for random mixes ({!Wp_mp.Mix.of_seed}) works at the spec
+    level — drop a whole process, or shrink one member with
     {!shrink_candidates} — so a failing mp fuzz case minimises the same
     way a single-program case does. *)
-
-val mix_of_seed : int -> Wp_mp.Mix.t
-(** The fuzz mix for a seed; always valid under {!Wp_mp.Mix.validate}. *)
-
-val generate_mix : Wp_workloads.Rng.t -> name:string -> Wp_mp.Mix.t
-(** The generator underneath {!mix_of_seed}, on a caller-owned
-    stream. *)
 
 val mix_size : Wp_mp.Mix.t -> int
 (** Shrink metric: member {!size}s plus one per process, so dropping a

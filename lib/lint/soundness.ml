@@ -145,8 +145,8 @@ let check ?geometry ?(elision = true) ~program ~layout ~trace () =
     | _ -> ()
   in
   let stats =
-    Wp_sim.Simulator.run_probed ~probe ~schedule:[] ~config ~program ~layout
-      ~trace
+    Wp_sim.Simulator.run_compiled ~probe ~config ~trace
+      (Wp_sim.Compiled_trace.make ~program ~layout)
   in
   if !pending <> None then violate "run ended with an unresolved access";
   if !fetches <> trace.Wp_workloads.Tracer.dynamic_instrs then

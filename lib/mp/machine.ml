@@ -2,11 +2,10 @@ module Config = Wp_sim.Config
 module Stats = Wp_sim.Stats
 module Simulator = Wp_sim.Simulator
 module Steady_state = Wp_sim.Steady_state
-module Snapshot_cache = Wp_sim.Snapshot_cache
 module Compiled_trace = Wp_sim.Compiled_trace
 module Fetch_engine = Wp_sim.Fetch_engine
 module Dmem = Wp_sim.Dmem
-module Data_stream = Wp_sim.Data_stream
+module Replay = Wp_sim.Replay
 module Btb = Wp_pipeline.Btb
 module Tracer = Wp_workloads.Tracer
 module Codegen = Wp_workloads.Codegen
@@ -65,55 +64,39 @@ let switches_per_million r =
     float_of_int r.switches *. 1_000_000.0
     /. float_of_int r.aggregate.Stats.retired_instrs
 
-(* One process's share of the machine: its compiled image at a private
-   base address, its own data stream and [Stats.t], and its scheduling
-   state.  The interrupt kernel reuses the same record (charging into
-   the system stats) so both run through the same execution paths. *)
+(* One process's share of the machine: its replay stream (compiled
+   image at a private base address, data stream, [Stats.t], cycle and
+   instruction totals) and its scheduling state.  The interrupt kernel
+   reuses the same record (charging into the system stats) so both run
+   through the same block steps. *)
 type proc_state = {
   pname : string;
   placed : bool;  (** effective: mix flag && way-placement scheme *)
   priority : int;
   base : Wp_isa.Addr.t;
   warea : int;  (** way-placed window bytes at [base]; 0 if unplaced *)
-  token : int;  (** this process's {!Compiled_trace.token} *)
-  trace_blocks : int array;
-  info : Compiled_trace.block_info array;
-  plan : Compiled_trace.plan;
-  starts : int array;
-  bodies : Wp_isa.Instr.t array array;
-  taken_succs : int array;
-  data : Data_stream.t;
-  stats : Stats.t;
+  s : Replay.stream;
+  step : int -> int;  (** the stream's block step *)
   mutable k : int;  (** next trace position *)
-  mutable cycles : int;
-  mutable instrs : int;
+  mutable since : int;  (** the stream's cycles at the current dispatch *)
   mutable dispatches : int;
 }
 
 let align_up n ~quantum = (n + quantum - 1) / quantum * quantum
 
-let proc_state_of_compiled (config : Config.t) ~pname ~placed ~priority ~base
-    ~warea ~(trace : Tracer.trace) ~seed ~stats compiled =
+let proc_state_of_compiled config ~step ~pname ~placed ~priority ~base
+    ~warea ~trace ~stats compiled =
+  let s = Replay.stream config ~trace ~stats compiled in
   {
     pname;
     placed;
     priority;
     base;
     warea;
-    token = Compiled_trace.token compiled;
-    trace_blocks = trace.Tracer.blocks;
-    info = Compiled_trace.info compiled;
-    plan =
-      Compiled_trace.plan compiled
-        ~line_bytes:config.icache.Wp_cache.Geometry.line_bytes;
-    starts = Compiled_trace.starts compiled;
-    bodies = Compiled_trace.bodies compiled;
-    taken_succs = Compiled_trace.taken_succs compiled;
-    data = Data_stream.create ~seed:(seed lxor 0xDA7A);
-    stats;
+    s;
+    step = step s;
     k = 0;
-    cycles = 0;
-    instrs = 0;
+    since = 0;
     dispatches = 0;
   }
 
@@ -123,7 +106,7 @@ let proc_state_of_compiled (config : Config.t) ~pname ~placed ~priority ~base
    Returns the state plus the next free page-aligned base, reserving
    the larger of the code image and the placement window so process
    address windows never overlap. *)
-let prepare_proc (config : Config.t) ~base (p : Mix.proc) =
+let prepare_proc (config : Config.t) ~step ~base (p : Mix.proc) =
   let spec = p.Mix.spec in
   let program = Codegen.generate spec in
   let graph = program.Codegen.graph in
@@ -148,20 +131,10 @@ let prepare_proc (config : Config.t) ~base (p : Mix.proc) =
     if code > warea then code else warea
   in
   let next_base = align_up (base + footprint) ~quantum:config.page_bytes in
-  ( proc_state_of_compiled config ~pname:p.Mix.pname ~placed
-      ~priority:p.Mix.priority ~base ~warea ~trace
-      ~seed:spec.Wp_workloads.Spec.seed ~stats:(Stats.create ()) compiled,
+  ( proc_state_of_compiled config ~step ~pname:p.Mix.pname ~placed
+      ~priority:p.Mix.priority ~base ~warea ~trace ~stats:(Stats.create ())
+      compiled,
     next_base )
-
-(* One process's fast-forward state: the resumable detector plus the
-   process-lifetime cycle/instruction accumulators its skips land in
-   (reconciled into the machine counters after every quantum). *)
-type ff_state = {
-  drv : Steady_state.driver;
-  c : int ref;  (** = [p.cycles] between quanta; runs ahead inside one *)
-  ins : int ref;  (** likewise for [p.instrs] *)
-  q_base : int ref;  (** [!c] at the current quantum's dispatch *)
-}
 
 let run ?probe ?(reference_only = false) ?fastforward
     ?(ff_policy = Steady_state.default_policy) ?ff_report ?snapshot_cache
@@ -172,11 +145,15 @@ let run ?probe ?(reference_only = false) ?fastforward
   (match Mix.validate mix with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Machine.run: " ^ msg));
-  let reference = reference_only || Option.is_some probe in
   let quantum =
     if options.quantum_cycles <= 0 then max_int else options.quantum_cycles
   in
   let system = Stats.create () in
+  let m = Replay.machine ?probe config ~code_base:Simulator.code_base in
+  let step =
+    if reference_only then Replay.reference_step (Replay.core ?probe m) m
+    else Replay.fast_step m
+  in
   (* Process 0 sits exactly at [Simulator.code_base] — the identity
      oracle relies on a single-process mix seeing the very addresses
      [Simulator.run] uses. *)
@@ -185,7 +162,7 @@ let run ?probe ?(reference_only = false) ?fastforward
     Array.of_list
       (List.map
          (fun p ->
-           let st, next' = prepare_proc config ~base:!next p in
+           let st, next' = prepare_proc config ~step ~base:!next p in
            next := next';
            st)
          mix)
@@ -203,17 +180,13 @@ let run ?probe ?(reference_only = false) ?fastforward
             0
       in
       Some
-        (proc_state_of_compiled config ~pname:"kernel" ~placed:(warea > 0)
+        (proc_state_of_compiled config ~step ~pname:"kernel"
+           ~placed:(warea > 0)
            ~priority:0 ~base:Kernel.base ~warea ~trace:k.Kernel.trace
-           ~seed:Kernel.spec.Wp_workloads.Spec.seed ~stats:system k.Kernel.compiled)
+           ~stats:system k.Kernel.compiled)
     end
   in
-  let engine = Fetch_engine.create ?probe config ~code_base:Simulator.code_base in
-  let dmem = Dmem.create ?probe config in
-  let btb = Btb.create ~entries:config.btb_entries in
-  let mispredict_penalty = config.mispredict_penalty in
-  let m_cycles = ref 0 in
-  let m_instrs = ref 0 in
+  let engine = m.Replay.engine and dmem = m.Replay.dmem in
   let switches = ref 0 in
   let kernel_runs = ref 0 in
   let timer_fires = ref 0 in
@@ -234,241 +207,69 @@ let run ?probe ?(reference_only = false) ?fastforward
       clock := st
     end
   in
-  (* One trace position on the block-batched fast path — the exact
-     per-block effect sequence of [Simulator]'s [run_fast], with the
-     cycle delta returned so the scheduler can charge the quantum. *)
-  let exec_block_fast (p : proc_state) k =
-    let id = p.trace_blocks.(k) in
-    let b = p.info.(id) in
-    let pb = p.plan.(id) in
-    let runs = pb.Compiled_trace.runs in
-    let run_cycles = pb.Compiled_trace.run_cycles in
-    let mem = b.Compiled_trace.mem in
-    let n_mem = Array.length mem in
-    let pc = ref b.Compiled_trace.start in
-    let off = ref 0 in
-    let mi = ref 0 in
-    let delta = ref 0 in
-    for r = 0 to Array.length runs - 1 do
-      let len = runs.(r) in
-      let fetch_stall = Fetch_engine.fetch_run engine p.stats !pc ~n:len in
-      delta := !delta + run_cycles.(r) + fetch_stall;
-      let run_end = !off + len in
-      while !mi < n_mem && mem.(!mi).Compiled_trace.pos < run_end do
-        let m = mem.(!mi) in
-        delta :=
-          !delta
-          + Dmem.access dmem p.stats
-              (Data_stream.next p.data m.Compiled_trace.locality)
-              ~write:m.Compiled_trace.write;
-        incr mi
-      done;
-      off := run_end;
-      pc := !pc + (len * Wp_isa.Instr.size_bytes)
-    done;
-    if b.Compiled_trace.term_branch then begin
-      let taken =
-        k + 1 < Array.length p.trace_blocks
-        && p.trace_blocks.(k + 1) = b.Compiled_trace.taken_succ
-      in
-      let predicted = Btb.predict_taken btb b.Compiled_trace.term_pc in
-      Btb.update btb b.Compiled_trace.term_pc ~taken;
-      if predicted <> taken then delta := !delta + mispredict_penalty
-    end;
-    m_cycles := !m_cycles + !delta;
-    m_instrs := !m_instrs + b.Compiled_trace.n_instrs;
-    p.instrs <- p.instrs + b.Compiled_trace.n_instrs;
-    !delta
+  (* Machine-wide retire totals for the probe's [Retire] ticks on the
+     fast step (the reference step's core counts them itself). *)
+  let m_cycles = ref 0 and m_instrs = ref 0 in
+  let exec p k =
+    match probe with
+    | Some pr when not reference_only ->
+        let instrs = !(p.s.Replay.instrs) in
+        m_cycles := !m_cycles + p.step k;
+        m_instrs := !m_instrs + !(p.s.Replay.instrs) - instrs;
+        pr (Probe.Retire { cycles = !m_cycles; instrs = !m_instrs })
+    | Some _ | None -> ignore (p.step k)
   in
-  (* The per-instruction reference twin (probed runs always take it):
-     the same retire-cycle formula as [Core_model.retire], against the
-     machine-shared BTB, with cumulative machine-wide [Retire] events
-     driving the sampler clock. *)
-  let exec_block_ref (p : proc_state) k =
-    let id = p.trace_blocks.(k) in
-    let start = p.starts.(id) in
-    let body = p.bodies.(id) in
-    let nb = Array.length body in
-    let nblocks = Array.length p.trace_blocks in
-    let delta = ref 0 in
-    for i = 0 to nb - 1 do
-      let pc = start + (i * Wp_isa.Instr.size_bytes) in
-      let fetch_stall = Fetch_engine.fetch engine p.stats pc in
-      let instr = body.(i) in
-      let opcode = instr.Wp_isa.Instr.opcode in
-      let dmem_stall =
-        match opcode with
-        | Wp_isa.Opcode.Load ->
-            Dmem.access dmem p.stats
-              (Data_stream.next p.data instr.Wp_isa.Instr.locality)
-              ~write:false
-        | Wp_isa.Opcode.Store ->
-            Dmem.access dmem p.stats
-              (Data_stream.next p.data instr.Wp_isa.Instr.locality)
-              ~write:true
-        | Wp_isa.Opcode.Alu _ | Mac | Branch | Jump | Call | Return | Nop -> 0
-      in
-      let branch_penalty =
-        match opcode with
-        | Wp_isa.Opcode.Branch ->
-            let taken =
-              i = nb - 1
-              && k + 1 < nblocks
-              && p.trace_blocks.(k + 1) = p.taken_succs.(id)
-            in
-            let predicted = Btb.predict_taken btb pc in
-            Btb.update btb pc ~taken;
-            if predicted <> taken then mispredict_penalty else 0
-        | Jump | Call | Return | Alu _ | Mac | Load | Store | Nop -> 0
-      in
-      let instr_cycles =
-        1 + fetch_stall + dmem_stall
-        + (Wp_isa.Opcode.execute_latency opcode - 1)
-        + branch_penalty
-      in
-      delta := !delta + instr_cycles;
-      m_cycles := !m_cycles + instr_cycles;
-      m_instrs := !m_instrs + 1;
-      (match probe with
-      | None -> ()
-      | Some pr ->
-          pr (Probe.Retire { cycles = !m_cycles; instrs = !m_instrs }))
-    done;
-    p.instrs <- p.instrs + nb;
-    !delta
-  in
-  let exec_block p k =
-    let delta = if reference then exec_block_ref p k else exec_block_fast p k in
-    p.cycles <- p.cycles + delta;
-    delta
-  in
-  let finished p = p.k >= Array.length p.trace_blocks in
-  (* Run [p] until its trace ends or the quantum expires (checked at
-     block boundaries — the block cycle deltas are identical on both
-     execution paths, so scheduling decisions are too). *)
-  let run_quantum (p : proc_state) =
-    p.dispatches <- p.dispatches + 1;
-    let used = ref 0 in
-    let continue = ref true in
-    while !continue do
-      used := !used + exec_block p p.k;
-      p.k <- p.k + 1;
-      if finished p then continue := false
-      else if !used >= quantum then begin
-        incr timer_fires;
-        continue := false
-      end
+  let finished p = p.k >= Array.length p.s.Replay.blocks in
+  let used p = !(p.s.Replay.cycles) - p.since in
+  (* Run [p] until its trace ends or [until] holds, checked at block
+     boundaries — the block cycle deltas are identical on both steps,
+     so scheduling decisions are too. *)
+  let run_until p ~until =
+    while not (finished p || until ()) do
+      exec p p.k;
+      p.k <- p.k + 1
     done
   in
-  (* Steady-state fast-forward on the fast path, one resumable driver
+  (* Steady-state fast-forward on plain fast runs, one resumable driver
      per user process (the kernel trace is short and replays whole —
      not worth detecting).  Same bail-out structure as [Simulator]:
-     probes and reference runs never engage it. *)
+     probes and reference runs never engage it.  A skip may never
+     cross the quantum boundary: the block loop would have taken the
+     timer interrupt mid-iteration, so skips are capped at
+     [quantum - 1 - used] cycles and the blocks around the expiry run
+     one by one — switch points land on exactly the plain loop's block
+     boundaries. *)
   let ff_enabled =
-    (not reference)
-    &&
-    match fastforward with
-    | Some b -> b
-    | None -> Simulator.default_fastforward ()
+    (not reference_only) && Option.is_none probe
+    && Option.value fastforward ~default:(Simulator.default_fastforward ())
   in
-  let ff_report_v =
-    match ff_report with Some r -> r | None -> Steady_state.create_report ()
+  let ff =
+    if not ff_enabled then [||]
+    else
+      Array.map
+        (fun p ->
+          Steady_state.make
+            (Replay.ff_ctx
+               ~cycle_headroom:(fun () -> quantum - 1 - used p)
+               ?report:ff_report ~policy:ff_policy ~cache:snapshot_cache
+               config m p.s))
+        procs
   in
-  let config_digest =
-    lazy (Digest.string (Marshal.to_string config []))
-  in
-  let make_ff (p : proc_state) =
-    let c = ref 0 and ins = ref 0 in
-    let q_base = ref 0 in
-    let info = p.info in
-    let blocks = p.trace_blocks in
-    let ctx =
-      {
-        Steady_state.policy = ff_policy;
-        report = ff_report_v;
-        stats = p.stats;
-        blocks;
-        n_ids = Array.length info;
-        n_instrs_of = (fun id -> info.(id).Compiled_trace.n_instrs);
-        stream_invariant =
-          (fun ~start ~period ->
-            let seq = ref 0 and stride = ref 0 and rand = ref 0 in
-            for j = start to start + period - 1 do
-              let b = info.(blocks.(j)) in
-              seq := !seq + b.Compiled_trace.seq_bytes;
-              stride := !stride + b.Compiled_trace.stride_bytes;
-              rand := !rand + b.Compiled_trace.n_random
-            done;
-            Data_stream.advance_invariant ~seq_bytes:!seq ~stride_bytes:!stride
-              ~n_random:!rand);
-        fingerprint =
-          (fun ~start ~period ~add ->
-            (* The drowsy clock is the charging process's fetch counter
-               — exactly [p.stats] for the whole quantum. *)
-            Fetch_engine.fingerprint engine ~now:p.stats.Stats.fetches ~add;
-            let period_mem = ref 0 in
-            for j = start to start + period - 1 do
-              period_mem :=
-                !period_mem + Array.length info.(blocks.(j)).Compiled_trace.mem
-            done;
-            if !period_mem > 0 then begin
-              Dmem.fingerprint dmem ~add;
-              Data_stream.fingerprint p.data ~add
-            end;
-            Btb.fingerprint btb ~add);
-        exec =
-          (fun k ->
-            c := !c + exec_block p k;
-            ins := !ins + info.(blocks.(k)).Compiled_trace.n_instrs);
-        set_awake_recorder = Fetch_engine.set_drowsy_recorder engine;
-        drowsy_advance =
-          (fun ~since ~delta ->
-            Fetch_engine.drowsy_advance_touched engine ~since ~delta);
-        drowsy_replay =
-          (fun a ~len ~iters ->
-            Fetch_engine.drowsy_replay_awake engine a ~len ~iters);
-        cycles = c;
-        instrs = ins;
-        cache = snapshot_cache;
-        cache_scope =
-          (match snapshot_cache with
-          | None -> ""
-          | Some _ ->
-              Printf.sprintf "%d/%s" p.token (Lazy.force config_digest));
-        (* A skip may never cross the quantum boundary: the reference
-           loop would have taken the timer interrupt mid-iteration, so
-           cap skips at [quantum - 1 - used] cycles and let the blocks
-           around the expiry execute one by one — switch points land on
-           exactly the reference loop's block boundaries. *)
-        cycle_headroom = Some (fun () -> quantum - 1 - (!c - !q_base));
-      }
-    in
-    { drv = Steady_state.make ctx; c; ins; q_base }
-  in
-  let ff = if ff_enabled then Array.map make_ff procs else [||] in
-  (* The fast-forward twin of [run_quantum]: the driver executes blocks
-     through [exec_block] (so the machine counters see them normally)
-     and lands skipped iterations in [c]/[ins] only — the difference
-     against [p.cycles]/[p.instrs] after the slice is exactly what the
-     skips added, reconciled here into the machine totals. *)
-  let run_quantum_ff (p : proc_state) (f : ff_state) =
-    p.dispatches <- p.dispatches + 1;
-    Steady_state.reawaken f.drv;
-    f.q_base := !(f.c);
-    let until () = !(f.c) - !(f.q_base) >= quantum in
-    Steady_state.advance f.drv ~until;
-    p.k <- Steady_state.pos f.drv;
-    let skipped_cycles = !(f.c) - p.cycles in
-    let skipped_instrs = !(f.ins) - p.instrs in
-    m_cycles := !m_cycles + skipped_cycles;
-    m_instrs := !m_instrs + skipped_instrs;
-    p.cycles <- !(f.c);
-    p.instrs <- !(f.ins);
-    if not (finished p) then incr timer_fires
-  in
+  (* One dispatch of process [i]: run until its trace ends or the
+     quantum expires.  The driver executes blocks through the fast step
+     and lands skipped iterations in the same stream totals. *)
   let run_slice i =
-    if Array.length ff = 0 then run_quantum procs.(i)
-    else run_quantum_ff procs.(i) ff.(i)
+    let p = procs.(i) in
+    p.dispatches <- p.dispatches + 1;
+    p.since <- !(p.s.Replay.cycles);
+    let until () = used p >= quantum in
+    (if Array.length ff = 0 then run_until p ~until
+     else begin
+       Steady_state.reawaken ff.(i);
+       Steady_state.advance ff.(i) ~until;
+       p.k <- Steady_state.pos ff.(i)
+     end);
+    if not (finished p) then incr timer_fires
   in
   (* The interrupt handler: replay the whole kernel trace into the
      system stats.  The kernel is mapped in every address space, so no
@@ -479,10 +280,7 @@ let run ?probe ?(reference_only = false) ?fastforward
     drowsy_switch_to system;
     Fetch_engine.set_window engine ~base:ks.base ~area_bytes:ks.warea;
     ks.k <- 0;
-    while not (finished ks) do
-      ignore (exec_block ks ks.k);
-      ks.k <- ks.k + 1
-    done;
+    run_until ks ~until:(fun () -> false);
     ks.dispatches <- ks.dispatches + 1;
     Fetch_engine.reset_stream engine
   in
@@ -520,18 +318,18 @@ let run ?probe ?(reference_only = false) ?fastforward
       Fetch_engine.flush_tlb engine;
       Dmem.flush_tlb dmem;
       (match options.btb_policy with
-      | Btb_flush -> Btb.reset btb
+      | Btb_flush -> Btb.reset m.Replay.btb
       | Btb_shared -> ());
       match probe with
       | None -> ()
       | Some p -> p (Probe.Context_switch { next = i })
     end;
-    drowsy_switch_to procs.(i).stats;
+    drowsy_switch_to procs.(i).s.Replay.stats;
     Fetch_engine.set_window engine ~base:procs.(i).base
       ~area_bytes:procs.(i).warea
   in
   let cur = ref (pick ~cur:(n - 1)) in
-  clock := procs.(!cur).stats;
+  clock := procs.(!cur).s.Replay.stats;
   dispatch !cur ~switched:false;
   let running = ref true in
   while !running do
@@ -544,39 +342,24 @@ let run ?probe ?(reference_only = false) ?fastforward
            address space or resume the same process. *)
         Fetch_engine.reset_stream engine;
         Option.iter run_kernel kernel;
-        if next <> !cur then dispatch next ~switched:true
-        else begin
-          drowsy_switch_to procs.(next).stats;
-          Fetch_engine.set_window engine ~base:procs.(next).base
-            ~area_bytes:procs.(next).warea
-        end;
+        dispatch next ~switched:(next <> !cur);
         cur := next
   done;
-  Array.iter
-    (fun p ->
-      p.stats.Stats.cycles <- p.cycles;
-      p.stats.Stats.retired_instrs <- p.instrs)
-    procs;
-  (match kernel with
-  | Some ks ->
-      system.Stats.cycles <- ks.cycles;
-      system.Stats.retired_instrs <- ks.instrs
-  | None -> ());
+  Array.iter (fun p -> Replay.finish p.s) procs;
+  Option.iter (fun ks -> Replay.finish ks.s) kernel;
   (* Leakage runs on the aggregate fetch clock (every fetch kept lines
      awake, whichever process issued it); align the drowsy state to it
      before finalising into the system account.  With a single process
      and no kernel the clock is already there — no rebase, and the
      leakage is bit-identical to [Simulator.run]'s. *)
-  let agg_fetches =
-    Array.fold_left
-      (fun acc p -> acc + p.stats.Stats.fetches)
-      system.Stats.fetches procs
-  in
+  let total f = Array.fold_left (fun acc p -> acc + f p.s.Replay.stats) (f system) procs in
+  let agg_fetches = total (fun st -> st.Stats.fetches) in
   if !clock.Stats.fetches <> agg_fetches then
     Fetch_engine.drowsy_rebase engine ~old_now:!clock.Stats.fetches
       ~new_now:agg_fetches;
   let leakage_pj =
-    Fetch_engine.leakage_pj engine system ~cycles:!m_cycles
+    Fetch_engine.leakage_pj engine system
+      ~cycles:(total (fun st -> st.Stats.cycles))
       ~now_fetches:agg_fetches
   in
   (* Aggregate = per-process totals + system, counter by counter —
@@ -591,10 +374,10 @@ let run ?probe ?(reference_only = false) ?fastforward
     Stats.add_scaled_delta aggregate ~before:zero
       ~after:(Stats.snapshot_ints st) ~times:1
   in
-  Array.iter (fun p -> add_into p.stats) procs;
+  Array.iter (fun p -> add_into p.s.Replay.stats) procs;
   add_into system;
   let prices = Config.prices config in
-  Array.iter (fun p -> Stats.price p.stats prices ~leakage_pj:0.0) procs;
+  Array.iter (fun p -> Stats.price p.s.Replay.stats prices ~leakage_pj:0.0) procs;
   Stats.price system prices ~leakage_pj;
   Stats.price aggregate prices ~leakage_pj;
   {
@@ -607,7 +390,7 @@ let run ?probe ?(reference_only = false) ?fastforward
                pr_name = p.pname;
                pr_placed = p.placed;
                pr_base = p.base;
-               pr_stats = p.stats;
+               pr_stats = p.s.Replay.stats;
                pr_dispatches = p.dispatches;
              })
            procs);

@@ -16,14 +16,15 @@
     ASIDs), optionally a BTB reset and a drowsy full-sleep, and the
     way-placement window retarget for the incoming process.
 
-    Scheduling runs on the block-batched fast path inside a quantum
-    and bails to the per-instruction reference loop only when a probe
-    is attached (or [reference_only] is set); both paths produce
-    bit-identical [Stats.t] — the mp differ asserts it over the fuzz
-    corpus.  With a single-process mix, an infinite quantum and no
-    kernel, the aggregate is bit-identical to {!Wp_sim.Simulator.run}
-    (provided the process is placed iff the scheme is way-placement) —
-    the identity oracle. *)
+    The machine is a driver over the block engine ({!Wp_sim.Replay}):
+    every process is a replay stream whose blocks run on the fast step,
+    probed runs included, or with [reference_only] on the
+    per-instruction reference step, whose core model trains the same
+    shared BTB.  Both produce bit-identical [Stats.t] (the mp differ
+    asserts it over the fuzz corpus).  With a single-process mix, an
+    infinite quantum and no kernel, the aggregate is bit-identical to
+    {!Wp_sim.Simulator.run} (provided the process is placed iff the
+    scheme is way-placement) — the identity oracle. *)
 
 type btb_policy =
   | Btb_shared  (** BTB survives switches (physically indexed) *)
@@ -95,14 +96,15 @@ val run :
 (** Run the mix to completion (every process drains its trace).
     [probe] observes the machine-wide event stream — counter events
     from the shared engine, the end-of-run leakage, cumulative machine
-    [Retire] ticks, and a [Context_switch] marker per switch —
-    and forces the reference loop.
+    [Retire] ticks (one per block on the fast step, one per instruction
+    with [reference_only]), and a [Context_switch] marker per switch.
+    A probed run does not fast-forward.
 
-    On the fast path each user process carries a resumable
+    On plain fast runs each user process carries a resumable
     {!Wp_sim.Steady_state} driver: hot loops fast-forward inside a
     quantum, skips are capped so they never cross a quantum boundary
-    (context switches land on exactly the reference loop's block
-    boundaries), and with a [snapshot_cache] a loop interrupted by a
+    (switches land on the same block boundaries as without
+    fast-forward), and with a [snapshot_cache] a loop interrupted by a
     switch re-converges from its cached iteration instead of
     re-recording.  [fastforward] defaults to
     {!Wp_sim.Simulator.set_fastforward_default}'s setting; results are

@@ -79,3 +79,34 @@ let pp ppf t =
         p.priority Wp_workloads.Spec.pp p.spec)
     t;
   Format.fprintf ppf "@]"
+
+(* A random mix is 2-4 random specs (with trimmed trace budgets, so a
+   whole multiprogrammed run still simulates quickly) plus per-process
+   placement flags and priorities. *)
+let generate rng ~name =
+  let n = Wp_workloads.Rng.int_in rng ~min:2 ~max:4 in
+  List.init n (fun i ->
+      let spec =
+        Wp_workloads.Spec.random rng ~name:(Printf.sprintf "%s.p%d" name i)
+      in
+      let spec =
+        {
+          spec with
+          Wp_workloads.Spec.trace_blocks_large =
+            max 40 (spec.Wp_workloads.Spec.trace_blocks_large / 3);
+          trace_blocks_small =
+            max 20 (spec.Wp_workloads.Spec.trace_blocks_small / 3);
+        }
+      in
+      let placed = Wp_workloads.Rng.int rng 4 > 0 (* 3 in 4 way-placed *) in
+      let priority = Wp_workloads.Rng.int_in rng ~min:0 ~max:2 in
+      { pname = spec.Wp_workloads.Spec.name; spec; placed; priority })
+
+let of_seed seed =
+  let mix =
+    generate (Wp_workloads.Rng.create seed) ~name:(Printf.sprintf "mix%d" seed)
+  in
+  (match validate mix with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Mix.of_seed: generated invalid mix: " ^ msg));
+  mix

@@ -41,3 +41,13 @@ val validate : t -> (unit, string) result
 (** Non-empty and every member spec valid. *)
 
 val pp : Format.formatter -> t -> unit
+
+val of_seed : int -> t
+(** A random mix, a pure function of its seed: 2-4
+    {!Wp_workloads.Spec.random} members with trimmed trace budgets,
+    3 in 4 way-placed, priorities 0-2.  Always valid under {!validate}.
+    The draws are frozen: ["random:SEED"] mixes name stored daemon
+    results and fuzz cases. *)
+
+val generate : Wp_workloads.Rng.t -> name:string -> t
+(** The generator underneath {!of_seed}, on a caller-owned stream. *)

@@ -44,8 +44,10 @@ type event =
       (** end-of-run I-cache leakage — the one energy a run does not
           count as events *)
   | Retire of { cycles : int; instrs : int }
-      (** cumulative totals after retiring one instruction — the
-          sampler's clock *)
+      (** cumulative cycle and instruction totals — the sampler's
+          clock.  Emitted once per trace block on the block-batched
+          fast step (so windows close on block boundaries), and once
+          per instruction on the per-instruction reference step *)
   | Resize of { area_bytes : int }  (** way-placement area resized *)
   | Flush
   | Context_switch of { next : int }

@@ -7,9 +7,9 @@ type t = {
   probe : Wp_obs.Probe.t option;
 }
 
-let create ?(btb_entries = 128) ?(mispredict_penalty = 4) ?probe () =
+let create ?btb ?(mispredict_penalty = 4) ?probe () =
   {
-    btb = Btb.create ~entries:btb_entries;
+    btb = (match btb with Some b -> b | None -> Btb.create ~entries:128);
     mispredict_penalty;
     cycles = 0;
     instructions = 0;

@@ -14,11 +14,12 @@
 type t
 
 val create :
-  ?btb_entries:int -> ?mispredict_penalty:int -> ?probe:Wp_obs.Probe.t ->
+  ?btb:Btb.t -> ?mispredict_penalty:int -> ?probe:Wp_obs.Probe.t ->
   unit -> t
-(** Defaults: 128-entry BTB, 4-cycle mispredict penalty.  [probe]
-    observes one cumulative [Retire] event per retired instruction —
-    the sampler's clock; pure observation. *)
+(** Defaults: a fresh 128-entry BTB, 4-cycle mispredict penalty.  [btb]
+    is used in place — the simulator passes its machine's shared
+    predictor.  [probe] observes one cumulative [Retire] event per
+    retired instruction — the sampler's clock; pure observation. *)
 
 val retire :
   t ->

@@ -507,7 +507,7 @@ let resolve_mix (mr : P.mp_request) =
       int_of_string_opt
         (String.sub mr.P.mp_mix plen (String.length mr.P.mp_mix - plen))
     with
-    | Some seed -> with_coverage (Wp_check.Progen.mix_of_seed seed)
+    | Some seed -> with_coverage (Wp_mp.Mix.of_seed seed)
     | None ->
         Error
           (Printf.sprintf "bad mix %S: random: needs an integer seed"

@@ -45,7 +45,7 @@ let sim_request ?(size_kb = 32) ?(ways = 32) ?(line_bytes = 32)
 
 (* A multiprogrammed run: the mix is wire-encoded as the same compact
    string the CLI accepts — comma-separated MiBench names, or
-   "random:SEED" for a Progen mix — so the request stays one JSON
+   "random:SEED" for a [Mix.of_seed] mix — so the request stays one JSON
    line; the daemon resolves it and content-addresses the result on
    the fully resolved (mix, machine config, scheduler options)
    triple. *)

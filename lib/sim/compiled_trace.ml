@@ -25,9 +25,7 @@ type t = {
   program : Wp_workloads.Codegen.t;
   layout : Wp_layout.Binary_layout.t;
   token : int;
-  starts : int array;
   bodies : Wp_isa.Instr.t array array;
-  taken_succs : int array;
   info : block_info array;
   plans_lock : Mutex.t;
   mutable plans : (int * plan) list;
@@ -42,14 +40,7 @@ let next_token = Atomic.make 0
 let make ~(program : Wp_workloads.Codegen.t) ~layout =
   let graph = program.Wp_workloads.Codegen.graph in
   let n = Icfg.num_blocks graph in
-  let starts =
-    Array.init n (fun id -> Wp_layout.Binary_layout.block_start layout id)
-  in
   let bodies = Array.init n (fun id -> (Icfg.block graph id).Basic_block.instrs) in
-  let taken_succs =
-    Array.init n (fun id ->
-        match Icfg.taken_succ graph id with Some b -> b | None -> -1)
-  in
   let info =
     Array.init n (fun id ->
         let body = bodies.(id) in
@@ -72,7 +63,7 @@ let make ~(program : Wp_workloads.Codegen.t) ~layout =
           done;
           Array.of_list !acc
         in
-        let start = starts.(id) in
+        let start = Wp_layout.Binary_layout.block_start layout id in
         (* Per-block data-stream advance totals, for the fast-forward
            detector's loop pre-filter: sequential accesses move the
            stream cursor 4 bytes each, strided accesses by their
@@ -92,7 +83,8 @@ let make ~(program : Wp_workloads.Codegen.t) ~layout =
           term_branch =
             nb > 0 && body.(nb - 1).Wp_isa.Instr.opcode = Wp_isa.Opcode.Branch;
           term_pc = start + ((nb - 1) * Wp_isa.Instr.size_bytes);
-          taken_succ = taken_succs.(id);
+          taken_succ =
+            (match Icfg.taken_succ graph id with Some b -> b | None -> -1);
           mem;
           seq_bytes = !seq_bytes;
           stride_bytes = !stride_bytes;
@@ -103,9 +95,7 @@ let make ~(program : Wp_workloads.Codegen.t) ~layout =
     program;
     layout;
     token = Atomic.fetch_and_add next_token 1;
-    starts;
     bodies;
-    taken_succs;
     info;
     plans_lock = Mutex.create ();
     plans = [];
@@ -114,9 +104,7 @@ let make ~(program : Wp_workloads.Codegen.t) ~layout =
 let program t = t.program
 let layout t = t.layout
 let token t = t.token
-let starts t = t.starts
 let bodies t = t.bodies
-let taken_succs t = t.taken_succs
 let info t = t.info
 
 let matches t ~program ~layout = t.program == program && t.layout == layout
@@ -133,7 +121,7 @@ let compute_plan t ~line_bytes =
       let nb = Array.length body in
       if nb = 0 then { runs = [||]; run_cycles = [||] }
       else begin
-        let start = t.starts.(id) in
+        let start = t.info.(id).start in
         let runs = ref [] and cycles = ref [] in
         let line = ref (start land mask) in
         let len = ref 0 and cyc = ref 0 in

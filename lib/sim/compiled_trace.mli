@@ -1,14 +1,13 @@
 (** Per-(program, layout) precompiled replay tables for the simulator.
 
-    The reference replay loop re-derives block start addresses,
-    instruction records and line splits on every visit.  A compiled
-    trace computes them once: per basic block, the flat lookup tables
-    shared by both simulator paths ([starts]/[bodies]/[taken_succs]),
-    plus the fast path's block summary ([block_info]: terminator kind,
-    memory-op positions) and, per cache-line size, the {e micro-trace
-    plan} — each block folded into maximal same-line runs with
-    pre-summed execute latencies, so the batched loop does no per-fetch
-    div/mod and no per-instruction record chasing.
+    A compiled trace computes once what replay would otherwise re-derive
+    on every block visit: per basic block, the instruction array
+    ([bodies], read by the reference step) and the block summary
+    ([block_info]: start address, terminator, taken successor,
+    memory-op positions), and, per cache-line size, the fast step's
+    {e micro-trace plan} — each block folded into maximal same-line
+    runs with pre-summed execute latencies, so the batched loop does no
+    per-fetch div/mod and no per-instruction record chasing.
 
     A compiled trace is immutable after {!make} except for the
     line-size-keyed plan memo, which is mutex-guarded: prepared
@@ -64,14 +63,8 @@ val token : t -> int
     serve requests happens exactly when they share the prepared
     benchmark. *)
 
-val starts : t -> int array
-(** Block start address per block id. *)
-
 val bodies : t -> Wp_isa.Instr.t array array
 (** Instruction array per block id. *)
-
-val taken_succs : t -> int array
-(** Taken successor per block id, [-1] if none. *)
 
 val info : t -> block_info array
 

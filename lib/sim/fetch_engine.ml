@@ -472,11 +472,11 @@ let fetch_run t (stats : Stats.t) addr ~n =
     done;
     !s
   in
+  let head_stall = fetch t stats addr in
+  let m = n - 1 in
   match t.probe with
-  | Some _ -> fetch t stats addr + generic_tail (n - 1)
+  | Some _ -> head_stall + generic_tail m
   | None ->
-      let head_stall = fetch t stats addr in
-      let m = n - 1 in
       if m = 0 then head_stall
       else if t.same_line_elision then begin
         let last = addr + (m * Wp_isa.Instr.size_bytes) in

@@ -8,12 +8,14 @@
     comparable runs — the paper's "we always compare equally
     configured machines" protocol (Section 5).
 
-    Two interchangeable replay loops exist.  The {e reference path}
-    retires one instruction at a time and is taken whenever a probe is
-    attached, a resize schedule is present, or [reference_only] is
-    requested.  The {e fast path} replays precompiled same-line runs
-    block-batched ({!Compiled_trace}, {!Fetch_engine.fetch_run}) and is
-    taken otherwise.  Both produce exactly equal {!Stats.t}
+    Every run is a driver over the block engine ({!Replay}).  Production
+    runs — plain, fast-forwarded, probed and resized alike — take its
+    block-batched {e fast step} ({!Compiled_trace},
+    {!Fetch_engine.fetch_run}); a resize schedule splits the block loop
+    into segments with the resize between them, and a probe gets one
+    cumulative [Retire] per trace block.  Only [reference_only] takes the
+    per-instruction {e reference step}, the oracle the fast step is
+    checked against.  Both produce exactly equal {!Stats.t}
     ({!Stats.equal}: equal counters, hence bit-identical energy) — an
     invariant enforced by the differential fuzzer ([Check.Differ]) and
     [test_fastpath]. *)
@@ -48,22 +50,30 @@ val run_compiled :
   Compiled_trace.t ->
   Stats.t
 (** The general entry point, replaying a precompiled trace (which
-    carries its program and layout).  Defaults: no probe, empty resize
-    schedule, fast path allowed.  The fast path is taken iff no probe
-    is attached, the schedule is empty and [reference_only] is false.
+    carries its program and layout) on the fast step, or on the
+    reference step with [reference_only]; probes and schedules work on
+    either.  [schedule] lists strictly ascending
+    [(trace_block_index, area_bytes)] resize points: the way-placement
+    area is resized (caches flushed) just before that block runs;
+    indices at or past the trace end never fire.  It is validated
+    before any replay.
 
-    On the fast path, converged hot loops are additionally
-    fast-forwarded ({!Steady_state}) when [fastforward] (default: the
-    {!set_fastforward_default} setting) is true; the result is
-    bit-identical either way.  [ff_policy] tunes the detector;
-    [ff_report], if given, accumulates what the engine skipped;
-    [snapshot_cache], if given, lets converged iterations be reused
-    across regions, runs and sweep cells (keyed on the compiled
-    trace's {!Compiled_trace.token} and the full config digest, so
-    reuse never crosses worlds).  All four are ignored on the
-    reference path.
-    @raise Invalid_argument if the config is invalid or the schedule is
-    not ascending. *)
+    Plain fast runs (no probe, no schedule) fast-forward converged hot
+    loops ({!Steady_state}) when [fastforward] (default: the
+    {!set_fastforward_default} setting) holds, bit-identically.  A
+    probed or resized run never does: a skip emits no events and cannot
+    stop at a resize point.  [ff_policy] tunes the detector, [ff_report]
+    accumulates what it skipped, and [snapshot_cache] lets converged
+    iterations be reused across regions, runs and sweep cells (keyed on
+    the compiled trace's {!Compiled_trace.token} and the config digest,
+    so reuse never crosses worlds).  A [probe] observes the run's full
+    event stream ({!Wp_obs.Probe}; attach a {!Wp_obs.Sampler} for a
+    timeline) and never changes the result; on the fast step it gets
+    one [Retire] per trace block, so sampler windows close on block
+    boundaries.
+    @raise Invalid_argument if the config is invalid, or the schedule
+    is non-empty on a non-way-placement config, is not strictly
+    ascending, or holds a negative index or an area [<= 0]. *)
 
 val run :
   config:Config.t ->
@@ -82,8 +92,8 @@ val run_reference :
   layout:Wp_layout.Binary_layout.t ->
   trace:Wp_workloads.Tracer.trace ->
   Stats.t
-(** {!run} forced through the per-instruction reference loop, never the
-    block-batched fast path.  The two produce exactly equal {!Stats.t}
+(** {!run} forced through the per-instruction reference step, never the
+    block-batched fast step.  The two produce exactly equal {!Stats.t}
     ({!Stats.equal}) — the invariant the differential fuzzer and
     [test_fastpath] enforce. *)
 
@@ -94,26 +104,9 @@ val run_with_resizes :
   layout:Wp_layout.Binary_layout.t ->
   trace:Wp_workloads.Tracer.trace ->
   Stats.t
-(** Like {!run}, with an OS resize schedule: ascending
-    [(trace_block_index, area_bytes)] pairs — when the replay reaches
-    that block the way-placement area is resized (paper Section 4.1,
-    "even adjusting it during program execution"; the caches are
-    flushed at each resize).  Only meaningful for way-placement
-    configurations.  A non-empty schedule runs the reference path.
-    @raise Invalid_argument if the config is invalid, the schedule is
-    not ascending, or the scheme is not way-placement. *)
-
-val run_probed :
-  probe:Wp_obs.Probe.t ->
-  schedule:(int * int) list ->
-  config:Config.t ->
-  program:Wp_workloads.Codegen.t ->
-  layout:Wp_layout.Binary_layout.t ->
-  trace:Wp_workloads.Tracer.trace ->
-  Stats.t
-(** {!run_with_resizes} with an attached probe observing the run's
-    full event stream (see {!Wp_obs.Probe}); attach a
-    {!Wp_obs.Sampler} to build a timeline.  Probed runs always take the
-    reference path; results are bit-identical with or without a probe —
-    an invariant the differential fuzzer checks across the scheme grid.
-    [schedule] may be empty. *)
+(** Like {!run}, with an OS resize schedule (see {!run_compiled}):
+    when the replay reaches a listed block the way-placement area is
+    resized (paper Section 4.1, "even adjusting it during program
+    execution"; the caches are flushed at each resize).  Runs on the
+    fast step, without fast-forward.
+    @raise Invalid_argument as {!run_compiled}. *)

@@ -44,12 +44,11 @@
    re-verifies all of them outright, so reuse preserves the same
    bit-identity argument as local convergence.
 
-   Bail-out is structural or checked: the engine only runs on the
-   probe-less, schedule-less fast path (probes and resize schedules
-   force the reference loop); drowsy timers, stream cursors and RNG
-   state are part of the fingerprint, so any cross-iteration
-   interaction simply never fingerprints equal and the region is
-   replayed normally. *)
+   Bail-out is structural or checked: the engine only runs on plain
+   fast-step runs (a probed or resized run takes the fast step without
+   it); drowsy timers, stream cursors and RNG state are part of the
+   fingerprint, so any cross-iteration interaction simply never
+   fingerprints equal and the region is replayed normally. *)
 
 type policy = {
   max_period_blocks : int;

@@ -34,9 +34,10 @@
     compiled trace under the same configuration — skips from its first
     boundary without re-recording.
 
-    Bail-out conditions: the engine exists only on the probe-less,
-    schedule-less fast path (probes and resize schedules force the
-    reference loop upstream); within it, a region is simply replayed
+    Bail-out conditions: the engine runs only on plain fast-step runs —
+    probed and resized runs take the fast step ({!Replay}) without it,
+    since a skip emits no probe events and has no block bound at which
+    a resize could fire.  Within a plain run, a region is simply replayed
     normally when fingerprints never match (e.g. RNG-drawing data
     accesses or drowsy timers that break iteration symmetry), when the
     candidate pattern is stream-variant, or when the attempt/snapshot
@@ -115,8 +116,8 @@ type ctx = {
       (** when present, a skip may add at most this many cycles to
           [cycles] — the multiprogramming scheduler's quantum bound,
           so fast-forward never overruns a time slice and context
-          switches land on exactly the reference loop's block
-          boundaries.  [None] = unbounded (single-run replay) *)
+          switches land on exactly the block boundaries of a replay
+          without fast-forward.  [None] = unbounded (single-run replay) *)
 }
 
 val run : ctx -> unit

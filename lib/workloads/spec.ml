@@ -50,6 +50,38 @@ let validate t =
   in
   Ok ()
 
+let random rng ~name =
+  let num_funcs = Rng.int_in rng ~min:1 ~max:15 in
+  let blocks_per_func_min = Rng.int_in rng ~min:1 ~max:3 in
+  let blocks_per_func_max =
+    blocks_per_func_min + Rng.int_in rng ~min:0 ~max:8
+  in
+  let instrs_per_block_min = Rng.int_in rng ~min:1 ~max:4 in
+  let instrs_per_block_max =
+    instrs_per_block_min + Rng.int_in rng ~min:0 ~max:8
+  in
+  let mem_ratio = Rng.float rng *. 0.5 in
+  let mac_ratio = Rng.float rng *. (1.0 -. mem_ratio) *. 0.5 in
+  {
+    name;
+    seed = Rng.int rng 1_000_000;
+    num_funcs;
+    blocks_per_func_min;
+    blocks_per_func_max;
+    instrs_per_block_min;
+    instrs_per_block_max;
+    max_loop_depth = Rng.int_in rng ~min:0 ~max:3;
+    avg_loop_trips = Rng.int_in rng ~min:1 ~max:8;
+    hot_func_fraction = Rng.float rng;
+    hot_call_bias = Rng.float rng;
+    if_taken_bias = Rng.float rng;
+    mem_ratio;
+    mac_ratio;
+    data_working_set_bytes = 64 lsl Rng.int_in rng ~min:0 ~max:8;
+    trace_blocks_large = Rng.int_in rng ~min:80 ~max:1200;
+    trace_blocks_small = Rng.int_in rng ~min:40 ~max:400;
+  }
+
 let static_code_estimate_bytes t =
   let avg_blocks = (t.blocks_per_func_min + t.blocks_per_func_max) / 2 in
   let avg_instrs = (t.instrs_per_block_min + t.instrs_per_block_max) / 2 in

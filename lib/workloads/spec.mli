@@ -31,6 +31,14 @@ type t = {
 val validate : t -> (unit, string) result
 (** Range checks on every field. *)
 
+val random : Rng.t -> name:string -> t
+(** A random valid specification drawn from the stream: shapes span
+    one-function straight-line code up to ~15 functions with nested
+    loops and layered calls, with trace budgets small enough that one
+    program simulates in milliseconds.  The differential fuzzer's
+    programs and random process mixes are built from it; the draws are
+    frozen, because seeds name stored results and fuzz cases. *)
+
 val static_code_estimate_bytes : t -> int
 (** Rough expected binary size, for documentation and tests. *)
 

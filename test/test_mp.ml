@@ -347,16 +347,16 @@ let test_mix_validation () =
 (* --- the deterministic mix fuzz generator ---------------------------- *)
 
 let test_progen_mix_deterministic () =
-  let a = Progen.mix_of_seed 42 and b = Progen.mix_of_seed 42 in
+  let a = Mp.Mix.of_seed 42 and b = Mp.Mix.of_seed 42 in
   Alcotest.(check bool) "same seed, same mix" true (a = b);
   Alcotest.(check bool) "mix validates" true (Mp.Mix.validate a = Ok ());
   let n = List.length a in
   Alcotest.(check bool) "2..4 processes" true (n >= 2 && n <= 4);
   Alcotest.(check bool) "different seed, different mix" true
-    (Progen.mix_of_seed 43 <> a)
+    (Mp.Mix.of_seed 43 <> a)
 
 let test_progen_mix_shrinking () =
-  let mix = Progen.mix_of_seed 42 in
+  let mix = Mp.Mix.of_seed 42 in
   let size = Progen.mix_size mix in
   let candidates = Progen.mix_shrink_candidates mix in
   Alcotest.(check bool) "candidates exist" true (candidates <> []);
@@ -371,9 +371,41 @@ let test_progen_mix_shrinking () =
   Alcotest.(check int) "fully minimised" 1 (List.length minimal);
   Alcotest.(check bool) "minimal case still fails" true (minimal <> [])
 
+(* Seeds name stored results ("random:SEED" daemon keys) and fuzz
+   cases, so the generators' draws are frozen: seeds 0..199 must keep
+   the specs and mixes they have always produced.  The digests pin
+   every field, floats bit for bit. *)
+let render_spec (s : Wayplace.Workloads.Spec.t) =
+  let open Wayplace.Workloads.Spec in
+  Printf.sprintf "%s/%d/%d/%d/%d/%d/%d/%d/%d/%h/%h/%h/%h/%h/%d/%d/%d" s.name
+    s.seed s.num_funcs s.blocks_per_func_min s.blocks_per_func_max
+    s.instrs_per_block_min s.instrs_per_block_max s.max_loop_depth
+    s.avg_loop_trips s.hot_func_fraction s.hot_call_bias s.if_taken_bias
+    s.mem_ratio s.mac_ratio s.data_working_set_bytes s.trace_blocks_large
+    s.trace_blocks_small
+
+let render_mix (m : Mp.Mix.t) =
+  String.concat "|"
+    (List.map
+       (fun (p : Mp.Mix.proc) ->
+         Printf.sprintf "%s:%b:%d:%s" p.Mp.Mix.pname p.Mp.Mix.placed
+           p.Mp.Mix.priority (render_spec p.Mp.Mix.spec))
+       m)
+
+let seeds_digest render =
+  Digest.to_hex (Digest.string (String.concat ";" (List.init 200 render)))
+
+let test_seeds_frozen () =
+  Alcotest.(check string) "fuzz specs of seeds 0..199"
+    "62f5d62e6f5c278d24d2d68d24b6ec3f"
+    (seeds_digest (fun i -> render_spec (Progen.spec_of_seed i)));
+  Alcotest.(check string) "random mixes of seeds 0..199"
+    "84fee3815abe2dc1abf17cf89bf9505b"
+    (seeds_digest (fun i -> render_mix (Mp.Mix.of_seed i)))
+
 let test_progen_mix_runs () =
   (* The fuzz generator's output must actually run and conserve. *)
-  let mix = Progen.mix_of_seed 7 in
+  let mix = Mp.Mix.of_seed 7 in
   let r =
     Mp.Machine.run ~config:(Config.xscale wp16) ~options:(quantum 5_000) mix
   in
@@ -543,5 +575,7 @@ let () =
             test_progen_mix_deterministic;
           Alcotest.test_case "shrinking" `Quick test_progen_mix_shrinking;
           Alcotest.test_case "random mix runs" `Quick test_progen_mix_runs;
+          Alcotest.test_case "seeds keep their specs and mixes" `Quick
+            test_seeds_frozen;
         ] );
     ]

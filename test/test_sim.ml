@@ -430,7 +430,42 @@ let test_resize_schedule_beyond_trace () =
   let plain = Runner.run_scheme prep (Config.xscale wp16) in
   let resized = run_tiny_with_resizes prep ~schedule:[ (n + 100, 1024) ] in
   Alcotest.(check bool) "never-reached resize is bit-identical" true
-    (Stats.equal plain resized)
+    (Stats.equal plain resized);
+  let at_end = run_tiny_with_resizes prep ~schedule:[ (n, 1024) ] in
+  Alcotest.(check bool) "a resize at the trace end never fires" true
+    (Stats.equal plain at_end)
+
+(* A rejected schedule raises before any replay: the attached probe
+   sees no event at all. *)
+let rejected_before_replay ?(scheme = wp16) schedule =
+  let prep = Runner.prepare Mibench.tiny in
+  let events = ref 0 in
+  match
+    Simulator.run_compiled
+      ~probe:(fun _ -> incr events)
+      ~schedule ~config:(Config.xscale scheme) ~trace:prep.Runner.trace_large
+      prep.Runner.compiled_placed
+  with
+  | (_ : Stats.t) -> false
+  | exception Invalid_argument _ -> !events = 0
+
+let test_resize_schedule_negative_index () =
+  Alcotest.(check bool) "negative index rejected up front" true
+    (rejected_before_replay [ (-1, 8192); (0, 4096) ])
+
+let test_resize_schedule_bad_area () =
+  Alcotest.(check bool) "zero area rejected up front" true
+    (rejected_before_replay [ (5, 4096); (10, 0) ]);
+  Alcotest.(check bool) "negative area rejected up front" true
+    (rejected_before_replay [ (5, -4096) ])
+
+let test_resize_schedule_needs_wayplace () =
+  let n =
+    Array.length (Runner.prepare Mibench.tiny).Runner.trace_large.Tracer.blocks
+  in
+  Alcotest.(check bool) "baseline schedule rejected, even past the trace end"
+    true
+    (rejected_before_replay ~scheme:Config.Baseline [ (n + 100, 1024) ])
 
 let test_resize_schedule_duplicate_index () =
   let prep = Runner.prepare Mibench.tiny in
@@ -549,6 +584,9 @@ let () =
           Alcotest.test_case "resize schedule: index 0" `Quick test_resize_schedule_at_index_zero;
           Alcotest.test_case "resize schedule: beyond trace" `Quick test_resize_schedule_beyond_trace;
           Alcotest.test_case "resize schedule: duplicate index" `Quick test_resize_schedule_duplicate_index;
+          Alcotest.test_case "resize schedule: negative index" `Quick test_resize_schedule_negative_index;
+          Alcotest.test_case "resize schedule: area <= 0" `Quick test_resize_schedule_bad_area;
+          Alcotest.test_case "resize schedule: needs way-placement" `Quick test_resize_schedule_needs_wayplace;
           Alcotest.test_case "memo data overhead" `Quick test_wm_same_line_uses_memo_factor;
           Alcotest.test_case "filter same-line uses L0 energy" `Quick
             test_filter_same_line_charges_l0;

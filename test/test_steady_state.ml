@@ -8,6 +8,8 @@ module Stats = Wayplace.Sim.Stats
 module Simulator = Wayplace.Sim.Simulator
 module Runner = Wayplace.Sim.Runner
 module Steady_state = Wayplace.Sim.Steady_state
+module Replay = Wayplace.Sim.Replay
+module Tracer = Wayplace.Workloads.Tracer
 module Geometry = Wayplace.Cache.Geometry
 module Replacement = Wayplace.Cache.Replacement
 module Cam_cache = Wayplace.Cache.Cam_cache
@@ -596,25 +598,54 @@ let test_drowsy_crossing () =
           (report.Steady_state.skipped_instrs > 0))
     [ 16; 64; 256; 4096 ]
 
+(* Trace positions a plain fast-forward run skips rather than
+   executes: the run's [exec] is wrapped to log what it runs. *)
+let skipped_positions prep config =
+  let trace = prep.Runner.trace_large in
+  let m = Replay.machine config ~code_base:Simulator.code_base in
+  let s =
+    Replay.stream config ~trace ~stats:(Stats.create ())
+      (Runner.compiled_for prep config)
+  in
+  let ctx =
+    Replay.ff_ctx ~policy:Steady_state.default_policy ~cache:None config m s
+  in
+  let executed = Array.make (Array.length trace.Tracer.blocks) false in
+  Steady_state.run
+    { ctx with exec = (fun k -> executed.(k) <- true; ctx.Steady_state.exec k) };
+  List.filter (fun k -> not executed.(k))
+    (List.init (Array.length executed) Fun.id)
+
 let test_resize_schedule_bails () =
-  (* Resize schedules force the reference loop, so the fast-forward
-     default must be irrelevant — including a resize index landing
-     exactly where a loop iteration would have been skipped. *)
+  (* A resized run takes the fast step without fast-forward, so the
+     fast-forward default must be irrelevant, and the run must equal
+     the per-instruction reference step under the same schedule —
+     including a resize at block 0 and one landing inside a loop that
+     a plain run skips. *)
   let prep = prepare loop_kernel in
   let config = Config.xscale (Config.Way_placement { area_bytes = 2048 }) in
-  let schedule = [ (100, 4096); (20_000, 2048) ] in
-  let run () =
-    Simulator.run_with_resizes ~schedule ~config
-      ~program:prep.Runner.program ~layout:prep.Runner.placed_layout
+  let skipped = skipped_positions prep config in
+  let n = Array.length prep.Runner.trace_large.Tracer.blocks in
+  Alcotest.(check bool) "a plain run skips most of the loop" true
+    (2 * List.length skipped > n);
+  let inside = List.nth skipped (List.length skipped / 2) in
+  let schedule = [ (0, 1024); (100, 4096); (inside, 2048); (n + 5, 8192) ] in
+  let run ?(reference_only = false) () =
+    Simulator.run_compiled ~schedule ~reference_only ~config
       ~trace:prep.Runner.trace_large
+      (Runner.compiled_for prep config)
   in
   Simulator.set_fastforward_default false;
   let off = run () in
   Simulator.set_fastforward_default true;
   let on = run () in
+  let reference = run ~reference_only:true () in
   if not (Stats.equal on off) then
     Alcotest.failf "resize schedule: default toggle changed stats:@ %a"
-      Stats.pp_diff (on, off)
+      Stats.pp_diff (on, off);
+  if not (Stats.equal on reference) then
+    Alcotest.failf "resize schedule: fast step diverges from reference:@ %a"
+      Stats.pp_diff (on, reference)
 
 let test_default_toggle () =
   (* run_scheme with no explicit argument follows the global default. *)
