@@ -1187,86 +1187,64 @@ let experiments =
 let default_experiments =
   List.filter (fun (id, _, _) -> id <> "perf") experiments
 
-let usage () =
-  Printf.eprintf
-    "usage: main.exe [-j N] [EXPERIMENT...]\n\
-     \  -j, --jobs N     simulate on N worker domains (default %d; 1 = sequential)\n\
-     \  list             print the experiment ids and exit\n\
-     perf options (experiment 'perf' is opt-in, excluded from the default set):\n\
-     \  --json PATH      write machine-readable results (BENCH_sim.json)\n\
-     \  --repeat N       median of N timed runs per cell (default 3)\n\
-     \  --bench A,B,..   restrict perf to these workloads (default: full suite)\n\
-     \  --ref            also time the per-instruction reference path\n\
-     perf-compare OLD NEW  soft-compare two perf JSON files (warn >30%% slower)\n"
-    (Sweep.default_workers ())
+open Cmdliner
 
-let () =
-  let rec parse ids = function
-    | [] -> List.rev ids
-    | ("-j" | "--jobs") :: v :: rest -> begin
-        match int_of_string_opt v with
-        | Some n when n >= 1 ->
-            requested_workers := Some n;
-            parse ids rest
-        | Some _ | None ->
-            Printf.eprintf "bad worker count %S\n" v;
-            usage ();
-            exit 1
-      end
-    | [ ("-j" | "--jobs") ] ->
-        Printf.eprintf "-j needs a worker count\n";
-        usage ();
-        exit 1
-    | "--json" :: path :: rest ->
-        perf_json := Some path;
-        parse ids rest
-    | "--repeat" :: v :: rest -> begin
-        match int_of_string_opt v with
-        | Some n when n >= 1 ->
-            perf_repeat := n;
-            parse ids rest
-        | Some _ | None ->
-            Printf.eprintf "bad repeat count %S\n" v;
-            usage ();
-            exit 1
-      end
-    | "--bench" :: v :: rest ->
-        let names = String.split_on_char ',' v in
-        let known = suite @ Mibench.loop_names in
-        List.iter
-          (fun n ->
-            if not (List.mem n known) then begin
-              Printf.eprintf "unknown benchmark %S (known: %s)\n" n
-                (String.concat ", " known);
-              exit 1
-            end)
-          names;
-        perf_benchmarks := Some names;
-        parse ids rest
-    | "--ref" :: rest ->
-        perf_reference := true;
-        parse ids rest
-    | [ ("--json" | "--repeat" | "--bench") as flag ] ->
-        Printf.eprintf "%s needs an argument\n" flag;
-        usage ();
-        exit 1
-    | "perf-compare" :: old_path :: new_path :: _ ->
-        perf_compare old_path new_path;
-        exit 0
-    | "perf-compare" :: _ ->
-        Printf.eprintf "perf-compare needs OLD and NEW json paths\n";
-        usage ();
-        exit 1
-    | ("-h" | "--help") :: _ ->
-        usage ();
-        exit 0
-    | "list" :: _ ->
-        List.iter (fun (id, _, _) -> print_endline id) experiments;
-        exit 0
-    | id :: rest -> parse (id :: ids) rest
+let positive what =
+  let parse v =
+    match int_of_string_opt v with
+    | Some n when n >= 1 -> Ok n
+    | Some _ | None -> Error (`Msg (Printf.sprintf "bad %s %S" what v))
   in
+  Arg.conv (parse, Format.pp_print_int)
+
+let bench_list =
+  let known = suite @ Mibench.loop_names in
+  let parse v =
+    let names = String.split_on_char ',' v in
+    match List.find_opt (fun n -> not (List.mem n known)) names with
+    | Some n ->
+        Error
+          (`Msg
+            (Printf.sprintf "unknown benchmark %S (known: %s)" n
+               (String.concat ", " known)))
+    | None -> Ok names
+  in
+  Arg.conv (parse, fun ppf names -> Format.pp_print_string ppf (String.concat "," names))
+
+let jobs_arg =
+  let doc =
+    Printf.sprintf "Simulate on $(docv) worker domains (default %d; 1 = sequential)."
+      (Sweep.default_workers ())
+  in
+  Arg.(value & opt (some (positive "worker count")) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+
+let json_arg =
+  let doc = "perf: write machine-readable results (BENCH_sim.json) to $(docv)." in
+  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH" ~doc)
+
+let repeat_arg =
+  let doc = "perf: median of $(docv) timed runs per cell." in
+  Arg.(value & opt (positive "repeat count") 3 & info [ "repeat" ] ~docv:"N" ~doc)
+
+let bench_arg =
+  let doc = "perf: restrict to these workloads (default: the full suite)." in
+  Arg.(value & opt (some bench_list) None & info [ "bench" ] ~docv:"A,B,.." ~doc)
+
+let ref_arg =
+  let doc = "perf: also time the per-instruction reference path." in
+  Arg.(value & flag & info [ "ref" ] ~doc)
+
+let ids_arg =
+  let doc =
+    "Experiment ids to run (default: all but the opt-in $(b,perf)).  \
+     $(b,list) prints the ids; $(b,perf-compare) OLD NEW soft-compares two \
+     perf JSON files (warn >30% slower)."
+  in
+  Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc)
+
+let run_experiments ids =
   let requested =
-    match parse [] (List.tl (Array.to_list Sys.argv)) with
+    match ids with
     | [] -> List.map (fun (id, _, _) -> id) default_experiments
     | ids -> ids
   in
@@ -1292,3 +1270,36 @@ let () =
   end;
   List.iter (fun (_, _, f) -> f ()) selected;
   Printf.printf "\n[bench] done in %.1fs\n%!" (Unix.gettimeofday () -. t0)
+
+(* [list] and [perf-compare] act at their position among the ids, as
+   commands; any other word names an experiment. *)
+let main jobs json repeat benchmarks reference args =
+  requested_workers := jobs;
+  perf_json := json;
+  perf_repeat := repeat;
+  perf_benchmarks := benchmarks;
+  perf_reference := reference;
+  let rec go ids = function
+    | "list" :: _ ->
+        List.iter (fun (id, _, _) -> print_endline id) experiments;
+        `Ok ()
+    | "perf-compare" :: old_path :: new_path :: _ ->
+        perf_compare old_path new_path;
+        `Ok ()
+    | "perf-compare" :: _ -> `Error (true, "perf-compare needs OLD and NEW json paths")
+    | id :: rest -> go (id :: ids) rest
+    | [] -> `Ok (run_experiments (List.rev ids))
+  in
+  go [] args
+
+(* Every failure — a bad flag value or an unknown experiment — exits 1. *)
+let () =
+  let cmd =
+    Cmd.v
+      (Cmd.info "main.exe" ~doc:"Regenerate the paper's tables and figures")
+      Term.(
+        ret
+          (const main $ jobs_arg $ json_arg $ repeat_arg $ bench_arg $ ref_arg
+         $ ids_arg))
+  in
+  exit (match Cmd.eval_value cmd with Ok _ -> 0 | Error _ -> 1)

@@ -1186,30 +1186,6 @@ let mp_csv_arg =
   let doc = "Write the per-process attribution table to this CSV file." in
   Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc)
 
-let parse_mix ~mix ~coverage =
-  let ( let* ) = Result.bind in
-  let* base =
-    let prefix = "random:" in
-    let plen = String.length prefix in
-    if String.length mix > plen && String.sub mix 0 plen = prefix then
-      match
-        int_of_string_opt (String.sub mix plen (String.length mix - plen))
-      with
-      | Some seed -> Ok (Wayplace.Mp.Mix.of_seed seed)
-      | None ->
-          Error
-            (Printf.sprintf "bad mix %S: random: needs an integer seed" mix)
-    else
-      Mp.Mix.of_names
-        (comma_list mix |> List.map String.trim
-        |> List.filter (fun s -> s <> ""))
-  in
-  match coverage with
-  | "mix" -> Ok base
-  | c ->
-      let* c = Mp.Mix.coverage_of_string c in
-      Ok (Mp.Mix.apply_coverage c base)
-
 let parse_mp_options ~quantum ~no_kernel ~btb ~drowsy ~sched =
   let ( let* ) = Result.bind in
   let* btb_policy =
@@ -1274,21 +1250,7 @@ let mp_verify_run ~config ~options mix (fast : Mp.Machine.result) =
                (solo.Mp.Machine.aggregate, cell)))
       (Ok ()) mix
   in
-  let refr = Mp.Machine.run ~reference_only:true ~config ~options mix in
-  if not (Sim_stats.equal fast.Mp.Machine.aggregate refr.Mp.Machine.aggregate)
-  then
-    Error
-      (Format.asprintf "mp fast path diverges from the reference loop:@ %a"
-         Sim_stats.pp_diff
-         (fast.Mp.Machine.aggregate, refr.Mp.Machine.aggregate))
-  else if
-    not
-      (List.for_all2
-         (fun (a : Mp.Machine.process_result) (b : Mp.Machine.process_result) ->
-           Sim_stats.equal a.Mp.Machine.pr_stats b.Mp.Machine.pr_stats)
-         fast.Mp.Machine.processes refr.Mp.Machine.processes)
-  then Error "mp fast path diverges from the reference loop on a per-process account"
-  else Ok ()
+  Mp.Machine.verify_reference ~config ~options mix fast
 
 let mp_process_row (p : Mp.Machine.process_result) =
   ( p.Mp.Machine.pr_name,
@@ -1358,7 +1320,7 @@ let mp_cmd mix_s coverage quantum no_kernel btb drowsy sched scheme area size
   let result =
     let* scheme = parse_scheme scheme area in
     let* config = config_of ~scheme ~size_kb:size ~ways ~line in
-    let* mix = parse_mix ~mix:mix_s ~coverage in
+    let* mix = Mp.Mix.parse ~mix:mix_s ~coverage in
     let* options = parse_mp_options ~quantum ~no_kernel ~btb ~drowsy ~sched in
     let* r =
       match Mp.Machine.run ~config ~options mix with

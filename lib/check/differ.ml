@@ -643,20 +643,9 @@ let check_mp_mix ~where spec (config : Config.t) =
           let fail fmt =
             Printf.ksprintf (fun msg -> v := (where ^ ": " ^ msg) :: !v) fmt
           in
-          if not (Stats.equal fast.Mp.aggregate refr.Mp.aggregate) then
-            fail "mp fast path diverges from mp reference: %s"
-              (Format.asprintf "%a" Stats.pp_diff
-                 (fast.Mp.aggregate, refr.Mp.aggregate));
-          List.iteri
-            (fun i (pf : Mp.process_result) ->
-              let pr = List.nth refr.Mp.processes i in
-              if not (Stats.equal pf.Mp.pr_stats pr.Mp.pr_stats) then
-                fail "mp fast path diverges from reference on process %d (%s)"
-                  i pf.Mp.pr_name)
-            fast.Mp.processes;
-          if fast.Mp.switches <> refr.Mp.switches then
-            fail "mp fast path saw %d switches, reference %d" fast.Mp.switches
-              refr.Mp.switches;
+          List.iter
+            (fail "mp fast path vs mp reference: %s")
+            (Mp.divergences ~fast ~reference:refr);
           (* cache invariance: re-running with the corpus-wide snapshot
              cache attached (quantum-capped skips, cross-quantum
              re-convergence) must not move a bit, per process or in

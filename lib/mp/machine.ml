@@ -399,3 +399,41 @@ let run ?probe ?(reference_only = false) ?fastforward
     kernel_runs = !kernel_runs;
     timer_fires = !timer_fires;
   }
+
+let divergences ~fast ~reference =
+  let aggregate =
+    if Stats.equal fast.aggregate reference.aggregate then []
+    else
+      [
+        Format.asprintf "aggregate diverges:@ %a" Stats.pp_diff
+          (fast.aggregate, reference.aggregate);
+      ]
+  in
+  let processes =
+    List.concat
+      (List.mapi
+         (fun i (pf : process_result) ->
+           match List.nth_opt reference.processes i with
+           | Some pr when Stats.equal pf.pr_stats pr.pr_stats -> []
+           | _ -> [ Printf.sprintf "process %d (%s) diverges" i pf.pr_name ])
+         fast.processes)
+  in
+  let switches =
+    if fast.switches = reference.switches then []
+    else
+      [
+        Printf.sprintf "%d switches, reference %d" fast.switches
+          reference.switches;
+      ]
+  in
+  aggregate @ processes @ switches
+
+let verify_reference ~config ~options mix fast =
+  match
+    divergences ~fast ~reference:(run ~reference_only:true ~config ~options mix)
+  with
+  | [] -> Ok ()
+  | ds ->
+      Error
+        ("mp fast path diverges from the reference loop: "
+        ^ String.concat "; " ds)

@@ -111,3 +111,17 @@ val run :
     bit-identical with fast-forward on or off, cache or no cache — the
     mp differ asserts it over the fuzz corpus.
     @raise Invalid_argument on an invalid config or mix. *)
+
+val divergences : fast:result -> reference:result -> string list
+(** Every way [fast] differs from [reference]: the aggregate, each
+    per-process account (in mix order) and the switch count.  Empty
+    when they agree. *)
+
+val verify_reference :
+  config:Wp_sim.Config.t ->
+  options:options ->
+  Mix.t ->
+  result ->
+  (unit, string) Stdlib.result
+(** Replay the mix with [reference_only] and check the given fast
+    result against it with {!divergences}. *)

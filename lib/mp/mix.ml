@@ -110,3 +110,25 @@ let of_seed seed =
   | Ok () -> ()
   | Error msg -> invalid_arg ("Mix.of_seed: generated invalid mix: " ^ msg));
   mix
+
+let parse ~mix ~coverage =
+  let ( let* ) = Result.bind in
+  let* base =
+    let prefix = "random:" in
+    let plen = String.length prefix in
+    if String.length mix > plen && String.sub mix 0 plen = prefix then
+      match int_of_string_opt (String.sub mix plen (String.length mix - plen)) with
+      | Some seed -> Ok (of_seed seed)
+      | None ->
+          Error (Printf.sprintf "bad mix %S: random: needs an integer seed" mix)
+    else
+      of_names
+        (String.split_on_char ',' mix
+        |> List.map String.trim
+        |> List.filter (fun s -> s <> ""))
+  in
+  match coverage with
+  | "mix" -> Ok base
+  | c ->
+      let* c = coverage_of_string c in
+      Ok (apply_coverage c base)

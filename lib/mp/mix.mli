@@ -51,3 +51,9 @@ val of_seed : int -> t
 
 val generate : Wp_workloads.Rng.t -> name:string -> t
 (** The generator underneath {!of_seed}, on a caller-owned stream. *)
+
+val parse : mix:string -> coverage:string -> (t, string) result
+(** The mix syntax the CLI and the daemon accept: comma-separated
+    MiBench names, or ["random:SEED"] for {!of_seed}.  [coverage] is
+    ["all"], ["half"], ["none"], or ["mix"] to keep the mix's own
+    placement flags. *)

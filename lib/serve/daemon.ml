@@ -6,6 +6,8 @@ module Mp = Wp_mp.Machine
 module Mix = Wp_mp.Mix
 module P = Protocol
 
+let ( let* ) = Result.bind
+
 (* A write-once cell with both blocking and callback consumption.
    Completions arrive on executor domains; connection writers learn of
    them through [on_ready] callbacks that enqueue the response — no
@@ -56,11 +58,39 @@ module Future = struct
         Mutex.unlock t.lock
 end
 
-type outcome = (Stats.t, string) result
+(* A grow-only string map, read without a lock: writers swap in an
+   extended map by compare-and-set. *)
+module Published = struct
+  module M = Map.Make (String)
+
+  type 'a t = 'a M.t Atomic.t
+
+  let create () = Atomic.make M.empty
+  let find t k = M.find_opt k (Atomic.get t)
+
+  let rec add t k v =
+    let m = Atomic.get t in
+    if not (Atomic.compare_and_set t m (M.add k v m)) then add t k v
+end
+
+(* The computations of one value type in flight, by content address. *)
+type 'a inflight = {
+  lock : Mutex.t;
+  table : (string, ('a, string) result Future.t) Hashtbl.t;
+}
+
+(* Request lines are read straight off the descriptor, so that a line
+   longer than [max_line_bytes] is never held whole. *)
+type line_reader = {
+  buf : Bytes.t;
+  mutable pos : int;
+  mutable len : int;
+  line : Buffer.t;
+}
 
 type conn = {
   fd : Unix.file_descr;
-  ic : in_channel;
+  reader : line_reader;
   oc : out_channel;
   out_lock : Mutex.t;
   out_cond : Condition.t;
@@ -77,19 +107,15 @@ type t = {
   exec : Pool.Executor.t;
   store : Store.t;
   engine : Wp_sim.Sweep.t;  (** memoised [Runner.prepare] only *)
-  inflight_lock : Mutex.t;
-  inflight : (string, outcome Future.t) Hashtbl.t;
-  mp_meta_lock : Mutex.t;
-  mp_meta : (string, int * int) Hashtbl.t;
+  stats_inflight : Stats.t inflight;  (** sim, grid cells and mp *)
+  advise_inflight : P.advise_result inflight;
+  mp_meta : (int * int) Published.t;
       (** key -> (switches, kernel_runs): machine-level facts the store
           does not persist.  In-memory only — a disk hit after a
           restart reports them as [-1]. *)
-  advise_lock : Mutex.t;
-  advise_cache : (string, P.advise_result) Hashtbl.t;
+  advise_cache : P.advise_result Published.t;
       (** advisor summaries are not [Stats.t], so they bypass the store
-          and live in this in-memory cache; one lock covers both the
-          cache and the advise in-flight table *)
-  advise_inflight : (string, (P.advise_result, string) result Future.t) Hashtbl.t;
+          and live in this in-memory map *)
   stop_pipe_r : Unix.file_descr;
   stop_pipe_w : Unix.file_descr;
   state_lock : Mutex.t;
@@ -109,8 +135,9 @@ let computations t = Atomic.get t.computations
 let store t = t.store
 let endpoint t = t.actual_endpoint
 
+let new_inflight () = { lock = Mutex.create (); table = Hashtbl.create 64 }
+
 let create ?workers ?store_dir ~endpoint () =
-  let ( let* ) = Result.bind in
   let* addr = P.sockaddr_of_endpoint endpoint in
   let* store = Store.create ?dir:store_dir () in
   let domain =
@@ -156,13 +183,10 @@ let create ?workers ?store_dir ~endpoint () =
           exec = Pool.Executor.create ?workers ();
           store;
           engine = Wp_sim.Sweep.create ~workers:1 ();
-          inflight_lock = Mutex.create ();
-          inflight = Hashtbl.create 64;
-          mp_meta_lock = Mutex.create ();
-          mp_meta = Hashtbl.create 16;
-          advise_lock = Mutex.create ();
-          advise_cache = Hashtbl.create 16;
-          advise_inflight = Hashtbl.create 16;
+          stats_inflight = new_inflight ();
+          advise_inflight = new_inflight ();
+          mp_meta = Published.create ();
+          advise_cache = Published.create ();
           stop_pipe_r;
           stop_pipe_w;
           state_lock = Mutex.create ();
@@ -188,13 +212,10 @@ let stop t =
     try ignore (Unix.write t.stop_pipe_w (Bytes.of_string "x") 0 1)
     with Unix.Unix_error _ -> ()
 
-let inflight_count t =
-  Mutex.lock t.inflight_lock;
-  let n = Hashtbl.length t.inflight in
-  Mutex.unlock t.inflight_lock;
-  Mutex.lock t.advise_lock;
-  let n = n + Hashtbl.length t.advise_inflight in
-  Mutex.unlock t.advise_lock;
+let inflight_length fl =
+  Mutex.lock fl.lock;
+  let n = Hashtbl.length fl.table in
+  Mutex.unlock fl.lock;
   n
 
 let server_stats t =
@@ -207,7 +228,7 @@ let server_stats t =
     coalesced = Atomic.get t.coalesced_count;
     errors = Atomic.get t.errors;
     store_entries = Store.memory_entries t.store;
-    inflight = inflight_count t;
+    inflight = inflight_length t.stats_inflight + inflight_length t.advise_inflight;
     workers = Pool.Executor.workers t.exec;
     uptime_s = Unix.gettimeofday () -. t.started;
   }
@@ -244,7 +265,91 @@ let complete_error t conn id msg =
   Atomic.incr t.errors;
   complete conn { P.id; reply = P.Error_reply msg }
 
+(* Complete a dispatched request with a rendered result or its error. *)
+let complete_with t conn id render = function
+  | Ok v -> complete conn { P.id; reply = render v }
+  | Error msg -> complete_error t conn id msg
+
+(* --- the memo path ----------------------------------------------------- *)
+
+(* Resolve one content address through the memoisation stack every
+   request kind shares — published result, in-flight coalescing,
+   executor — calling [k] exactly once with the source and outcome:
+   synchronously on a hit, from an executor domain otherwise.
+
+   [find] looks up what is already published.  [compute] runs,
+   verifies and publishes; returning (with [Ok] or [Error]) counts as
+   one computation, raising becomes an [Error] and does not.  Its
+   publish happens strictly before the in-flight entry is dropped, so
+   a request that misses the in-flight table afterwards is guaranteed
+   to hit [find] — the computation counter can never exceed the number
+   of distinct keys (plus deliberate [no_cache] runs).  A [no_cache]
+   run skips both the read and coalescing.  If the executor is
+   draining (shutdown has begun) the request was still accepted, so
+   the task runs inline on the reader thread rather than be lost. *)
+let resolve t fl ~key ~no_cache ~find ~compute k =
+  let run ~registered fut =
+    Future.on_ready fut (k P.Computed);
+    let task () =
+      let outcome =
+        match compute () with
+        | outcome ->
+            Atomic.incr t.computations;
+            outcome
+        | exception exn ->
+            Error (Printf.sprintf "computation failed: %s" (Printexc.to_string exn))
+      in
+      if registered then begin
+        Mutex.lock fl.lock;
+        Hashtbl.remove fl.table key;
+        Mutex.unlock fl.lock
+      end;
+      Future.fulfill fut outcome
+    in
+    if not (Pool.Executor.submit t.exec task) then task ()
+  in
+  let hit (v, where) =
+    match where with
+    | `Memory ->
+        Atomic.incr t.hits_memory;
+        k P.Memory (Ok v)
+    | `Disk ->
+        Atomic.incr t.hits_disk;
+        k P.Disk (Ok v)
+  in
+  if no_cache then run ~registered:false (Future.create ())
+  else
+    match find key with
+    | Some h -> hit h
+    | None -> (
+        Mutex.lock fl.lock;
+        match Hashtbl.find_opt fl.table key with
+        | Some fut ->
+            Mutex.unlock fl.lock;
+            Atomic.incr t.coalesced_count;
+            Future.on_ready fut (k P.Coalesced)
+        | None -> (
+            (* recheck under the in-flight lock: a computation that just
+               completed publishes before deregistering, so this order
+               can't miss both tables and recompute *)
+            match find key with
+            | Some h ->
+                Mutex.unlock fl.lock;
+                hit h
+            | None ->
+                let fut = Future.create () in
+                Hashtbl.replace fl.table key fut;
+                Mutex.unlock fl.lock;
+                run ~registered:true fut))
+
 (* --- request handling ----------------------------------------------- *)
+
+let prepared t benchmark =
+  match Wp_sim.Sweep.prepared t.engine benchmark with
+  | prep -> Ok prep
+  | exception Not_found -> Error (Printf.sprintf "unknown benchmark %S" benchmark)
+  | exception exn ->
+      Error (Printf.sprintf "prepare failed: %s" (Printexc.to_string exn))
 
 let verify_against_reference prep config stats =
   let reference =
@@ -260,128 +365,47 @@ let verify_against_reference prep config stats =
           loop:@ %a"
          Stats.pp_diff (stats, reference))
 
-(* Run one computation (on an executor domain, or inline when the
-   executor is already draining), publish to the store, resolve the
-   future.  [registered] tells us to drop the in-flight entry; the
-   store [put] happens strictly before that removal, so a request that
-   misses the in-flight table afterwards is guaranteed to hit the
-   store — the computation counter can never exceed the number of
-   distinct keys (plus deliberate [no_cache] runs). *)
-let run_computation t ~prep ~config ~key ~verify ~registered fut =
-  let outcome =
-    (* every computation shares the sweep engine's snapshot cache:
-       converged loop iterations recorded for one request fast-forward
-       every later request whose fingerprints coincide — most visibly
-       the cells of a grid, which differ only in configuration.  The
-       result is bit-identical either way (the cache key pins the
-       compiled trace and the full config; the differ enforces the
-       equality). *)
-    match
-      Runner.run_scheme
-        ~snapshot_cache:(Wp_sim.Sweep.snapshot_cache t.engine)
-        prep config
-    with
-    | stats -> (
-        Atomic.incr t.computations;
-        match if verify then verify_against_reference prep config stats else Ok () with
-        | Ok () ->
-            Store.put t.store key stats;
-            Ok stats
-        | Error msg -> Error msg)
-    | exception exn ->
-        Error (Printf.sprintf "computation failed: %s" (Printexc.to_string exn))
+(* One (prepared, config) cell — a [Sim] request or a cell of a
+   [Grid].  [k] also receives the cell's store key. *)
+let resolve_cell t ~prep ~config ~no_cache ~verify k =
+  let key =
+    Store.key ~program:prep.Runner.program
+      ~order:(Wp_layout.Binary_layout.order (Runner.layout_for prep config))
+      ~config
   in
-  if registered then begin
-    Mutex.lock t.inflight_lock;
-    Hashtbl.remove t.inflight key;
-    Mutex.unlock t.inflight_lock
-  end;
-  Future.fulfill fut outcome
-
-let complete_sim t conn id ~key ~source outcome =
-  match outcome with
-  | Ok stats ->
-      complete conn
-        { P.id; reply = P.Sim_reply (P.sim_result_of_stats ~key ~source stats) }
-  | Error msg -> complete_error t conn id msg
-
-(* Submit a computation; if the executor is draining (shutdown has
-   begun) the request was still accepted, so run it inline on the
-   reader thread rather than lose it. *)
-let submit_computation t ~prep ~config ~key ~verify ~registered fut =
-  let task () = run_computation t ~prep ~config ~key ~verify ~registered fut in
-  if not (Pool.Executor.submit t.exec task) then task ()
-
-(* Resolve one (prepared, config) cell through the full memoisation
-   stack — store, in-flight coalescing, executor — calling [k] exactly
-   once with the source and outcome: synchronously on a store hit,
-   from an executor domain otherwise.  Shared by [Sim] requests and
-   the cells of a [Grid]. *)
-let resolve_sim t ~prep ~config ~key ~no_cache ~verify k =
-  if no_cache then begin
-    (* deliberate fresh run: no store read, no coalescing *)
-    let fut = Future.create () in
-    Future.on_ready fut (fun o -> k P.Computed o);
-    submit_computation t ~prep ~config ~key ~verify ~registered:false fut
-  end
-  else
-    let hit stats source counter =
-      Atomic.incr counter;
-      k source (Ok stats)
-    in
-    match Store.find t.store key with
-    | Some (stats, `Memory) -> hit stats P.Memory t.hits_memory
-    | Some (stats, `Disk) -> hit stats P.Disk t.hits_disk
-    | None -> (
-        Mutex.lock t.inflight_lock;
-        match Hashtbl.find_opt t.inflight key with
-        | Some fut ->
-            Mutex.unlock t.inflight_lock;
-            Atomic.incr t.coalesced_count;
-            Future.on_ready fut (fun o -> k P.Coalesced o)
-        | None -> (
-            (* recheck under the in-flight lock: a computation that
-               just completed publishes to the store before
-               deregistering, so this order can't miss both tables and
-               recompute *)
-            match Store.find t.store key with
-            | Some (stats, `Memory) ->
-                Mutex.unlock t.inflight_lock;
-                hit stats P.Memory t.hits_memory
-            | Some (stats, `Disk) ->
-                Mutex.unlock t.inflight_lock;
-                hit stats P.Disk t.hits_disk
-            | None ->
-                let fut = Future.create () in
-                Hashtbl.replace t.inflight key fut;
-                Mutex.unlock t.inflight_lock;
-                Future.on_ready fut (fun o -> k P.Computed o);
-                submit_computation t ~prep ~config ~key ~verify
-                  ~registered:true fut))
+  resolve t t.stats_inflight ~key ~no_cache ~find:(Store.find t.store)
+    ~compute:(fun () ->
+      (* every computation shares the sweep engine's snapshot cache:
+         converged loop iterations recorded for one request
+         fast-forward every later request whose fingerprints coincide —
+         most visibly the cells of a grid, which differ only in
+         configuration.  The result is bit-identical either way (the
+         cache key pins the compiled trace and the full config; the
+         differ enforces the equality). *)
+      let stats =
+        Runner.run_scheme
+          ~snapshot_cache:(Wp_sim.Sweep.snapshot_cache t.engine)
+          prep config
+      in
+      let* () = if verify then verify_against_reference prep config stats else Ok () in
+      Store.put t.store key stats;
+      Ok stats)
+    (k key)
 
 let handle_sim t conn id (sr : P.sim_request) =
   Atomic.incr t.sim_requests;
-  match P.config_of_sim sr with
+  match
+    let* config = P.config_of_sim sr in
+    let* prep = prepared t sr.P.benchmark in
+    Ok (config, prep)
+  with
   | Error msg -> reply_error t conn id msg
-  | Ok config -> (
-      match Wp_sim.Sweep.prepared t.engine sr.P.benchmark with
-      | exception Not_found ->
-          reply_error t conn id
-            (Printf.sprintf "unknown benchmark %S" sr.P.benchmark)
-      | exception exn ->
-          reply_error t conn id
-            (Printf.sprintf "prepare failed: %s" (Printexc.to_string exn))
-      | prep ->
-          let layout = Runner.layout_for prep config in
-          let key =
-            Store.key ~program:prep.Runner.program
-              ~order:(Wp_layout.Binary_layout.order layout)
-              ~config
-          in
-          dispatch conn;
-          resolve_sim t ~prep ~config ~key ~no_cache:sr.P.no_cache
-            ~verify:sr.P.verify (fun source outcome ->
-              complete_sim t conn id ~key ~source outcome))
+  | Ok (config, prep) ->
+      dispatch conn;
+      resolve_cell t ~prep ~config ~no_cache:sr.P.no_cache ~verify:sr.P.verify
+        (fun key source ->
+          complete_with t conn id (fun stats ->
+              P.Sim_reply (P.sim_result_of_stats ~key ~source stats)))
 
 (* --- grid requests ---------------------------------------------------- *)
 
@@ -446,81 +470,30 @@ let handle_grid t conn id (gr : P.grid_request) =
       List.iteri
         (fun idx (bench, scheme, size_kb, ways) ->
           match
-            P.config_of_geometry ~scheme ~size_kb ~ways
-              ~line_bytes:gr.P.g_line_bytes
+            let* config =
+              P.config_of_geometry ~scheme ~size_kb ~ways
+                ~line_bytes:gr.P.g_line_bytes
+            in
+            let* prep = prepared t bench in
+            Ok (config, prep)
           with
           | Error msg -> cell_error idx bench scheme size_kb ways msg
-          | Ok config -> (
-              match Wp_sim.Sweep.prepared t.engine bench with
-              | exception Not_found ->
-                  cell_error idx bench scheme size_kb ways
-                    (Printf.sprintf "unknown benchmark %S" bench)
-              | exception exn ->
-                  cell_error idx bench scheme size_kb ways
-                    (Printf.sprintf "prepare failed: %s"
-                       (Printexc.to_string exn))
-              | prep ->
-                  let layout = Runner.layout_for prep config in
-                  let key =
-                    Store.key ~program:prep.Runner.program
-                      ~order:(Wp_layout.Binary_layout.order layout)
-                      ~config
-                  in
-                  resolve_sim t ~prep ~config ~key ~no_cache:gr.P.g_no_cache
-                    ~verify:false (fun source outcome ->
-                      match outcome with
-                      | Ok stats ->
-                          (match source with
-                          | P.Computed -> Atomic.incr computed
-                          | P.Memory -> Atomic.incr g_memory
-                          | P.Disk -> Atomic.incr g_disk
-                          | P.Coalesced -> Atomic.incr g_coalesced);
-                          emit idx bench scheme size_kb ways
-                            (Ok (P.sim_result_of_stats ~key ~source stats))
-                      | Error msg ->
-                          cell_error idx bench scheme size_kb ways msg)))
+          | Ok (config, prep) ->
+              resolve_cell t ~prep ~config ~no_cache:gr.P.g_no_cache
+                ~verify:false (fun key source outcome ->
+                  match outcome with
+                  | Ok stats ->
+                      (match source with
+                      | P.Computed -> Atomic.incr computed
+                      | P.Memory -> Atomic.incr g_memory
+                      | P.Disk -> Atomic.incr g_disk
+                      | P.Coalesced -> Atomic.incr g_coalesced);
+                      emit idx bench scheme size_kb ways
+                        (Ok (P.sim_result_of_stats ~key ~source stats))
+                  | Error msg -> cell_error idx bench scheme size_kb ways msg))
         cells
 
 (* --- multiprogrammed requests ---------------------------------------- *)
-
-(* The wire mix string, resolved to a concrete process list: MiBench
-   names, or "random:SEED" through the fuzzer's deterministic mix
-   generator.  Resolution is cheap (spec lookup / generation only);
-   program generation and tracing happen inside [Mp.run] on an
-   executor domain. *)
-let resolve_mix (mr : P.mp_request) =
-  let with_coverage mix =
-    match mr.P.mp_coverage with
-    | "mix" -> Ok mix
-    | other -> (
-        match Mix.coverage_of_string other with
-        | Ok c -> Ok (Mix.apply_coverage c mix)
-        | Error _ as e -> e)
-  in
-  let prefix = "random:" in
-  let plen = String.length prefix in
-  if
-    String.length mr.P.mp_mix > plen
-    && String.sub mr.P.mp_mix 0 plen = prefix
-  then
-    match
-      int_of_string_opt
-        (String.sub mr.P.mp_mix plen (String.length mr.P.mp_mix - plen))
-    with
-    | Some seed -> with_coverage (Wp_mp.Mix.of_seed seed)
-    | None ->
-        Error
-          (Printf.sprintf "bad mix %S: random: needs an integer seed"
-             mr.P.mp_mix)
-  else
-    match
-      Mix.of_names
-        (String.split_on_char ',' mr.P.mp_mix
-        |> List.map String.trim
-        |> List.filter (fun s -> s <> ""))
-    with
-    | Ok mix -> with_coverage mix
-    | Error _ as e -> e
 
 let options_of_mp (mr : P.mp_request) =
   {
@@ -534,152 +507,58 @@ let options_of_mp (mr : P.mp_request) =
 
 (* Content address of a multiprogrammed run: the fully resolved mix
    (specs, placement flags, priorities), the machine configuration and
-   the scheduler options are all the run depends on.  The "mp-" prefix
-   keeps the namespace disjoint from single-process [Store.key]s, so
-   both share the store and the in-flight table. *)
+   the scheduler options are all the run depends on.  The "mp" tag
+   keeps the digest disjoint from single-process [Store.key]s, so both
+   share the store (and persist) and the in-flight table. *)
 let mp_key ~mix ~(config : Wp_sim.Config.t) ~(options : Mp.options) =
-  "mp-"
-  ^ Digest.to_hex (Digest.string (Marshal.to_string (mix, config, options) []))
-
-let mp_meta_for t key =
-  Mutex.lock t.mp_meta_lock;
-  let m = Hashtbl.find_opt t.mp_meta key in
-  Mutex.unlock t.mp_meta_lock;
-  match m with Some (s, k) -> (s, k) | None -> (-1, -1)
-
-let run_mp_computation t ~mix ~config ~options ~key ~verify ~registered fut =
-  let outcome =
-    match Mp.run ~config ~options mix with
-    | r -> (
-        Atomic.incr t.computations;
-        let verified =
-          if not verify then Ok ()
-          else
-            match Mp.run ~reference_only:true ~config ~options mix with
-            | refr ->
-                if Stats.equal r.Mp.aggregate refr.Mp.aggregate then Ok ()
-                else
-                  Error
-                    (Format.asprintf
-                       "verification failed: mp fast path diverges from the \
-                        reference loop:@ %a"
-                       Stats.pp_diff
-                       (r.Mp.aggregate, refr.Mp.aggregate))
-            | exception exn ->
-                Error
-                  (Printf.sprintf "verification failed: reference run raised: %s"
-                     (Printexc.to_string exn))
-        in
-        match verified with
-        | Ok () ->
-            Mutex.lock t.mp_meta_lock;
-            Hashtbl.replace t.mp_meta key (r.Mp.switches, r.Mp.kernel_runs);
-            Mutex.unlock t.mp_meta_lock;
-            Store.put t.store key r.Mp.aggregate;
-            Ok r.Mp.aggregate
-        | Error msg -> Error msg)
-    | exception exn ->
-        Error (Printf.sprintf "computation failed: %s" (Printexc.to_string exn))
-  in
-  if registered then begin
-    Mutex.lock t.inflight_lock;
-    Hashtbl.remove t.inflight key;
-    Mutex.unlock t.inflight_lock
-  end;
-  Future.fulfill fut outcome
-
-let submit_mp t ~mix ~config ~options ~key ~verify ~registered fut =
-  let task () =
-    run_mp_computation t ~mix ~config ~options ~key ~verify ~registered fut
-  in
-  if not (Pool.Executor.submit t.exec task) then task ()
-
-let complete_mp t conn id ~key ~source ~processes outcome =
-  match outcome with
-  | Ok stats ->
-      let switches, kernel_runs = mp_meta_for t key in
-      complete conn
-        {
-          P.id;
-          reply =
-            P.Mp_reply
-              (P.mp_result_of_stats ~key ~source ~processes ~switches
-                 ~kernel_runs stats);
-        }
-  | Error msg -> complete_error t conn id msg
+  Digest.to_hex
+    (Digest.string (Marshal.to_string ("mp", mix, config, options) []))
 
 let handle_mp t conn id (mr : P.mp_request) =
   Atomic.incr t.sim_requests;
-  match P.config_of_mp mr with
+  match
+    let* config = P.config_of_mp mr in
+    let* mix = Mix.parse ~mix:mr.P.mp_mix ~coverage:mr.P.mp_coverage in
+    Ok (config, mix)
+  with
   | Error msg -> reply_error t conn id msg
-  | Ok config -> (
-      match resolve_mix mr with
-      | Error msg -> reply_error t conn id msg
-      | exception exn ->
-          reply_error t conn id
-            (Printf.sprintf "mix resolution failed: %s" (Printexc.to_string exn))
-      | Ok mix -> (
-          let options = options_of_mp mr in
-          let key = mp_key ~mix ~config ~options in
-          let processes = List.length mix in
-          let respond_hit stats source counter =
-            Atomic.incr counter;
-            let switches, kernel_runs = mp_meta_for t key in
-            reply conn
-              {
-                P.id;
-                reply =
-                  P.Mp_reply
-                    (P.mp_result_of_stats ~key ~source ~processes ~switches
-                       ~kernel_runs stats);
-              }
+  | Ok (config, mix) ->
+      let options = options_of_mp mr in
+      let key = mp_key ~mix ~config ~options in
+      dispatch conn;
+      resolve t t.stats_inflight ~key ~no_cache:mr.P.mp_no_cache
+        ~find:(Store.find t.store)
+        ~compute:(fun () ->
+          let r = Mp.run ~config ~options mix in
+          let* () =
+            if not mr.P.mp_verify then Ok ()
+            else
+              match Mp.verify_reference ~config ~options mix r with
+              | Ok () -> Ok ()
+              | Error msg -> Error ("verification failed: " ^ msg)
+              | exception exn ->
+                  Error
+                    (Printf.sprintf "verification failed: reference run raised: %s"
+                       (Printexc.to_string exn))
           in
-          if mr.P.mp_no_cache then begin
-            let fut = Future.create () in
-            dispatch conn;
-            Future.on_ready fut
-              (complete_mp t conn id ~key ~source:P.Computed ~processes);
-            submit_mp t ~mix ~config ~options ~key ~verify:mr.P.mp_verify
-              ~registered:false fut
-          end
-          else
-            match Store.find t.store key with
-            | Some (stats, `Memory) -> respond_hit stats P.Memory t.hits_memory
-            | Some (stats, `Disk) -> respond_hit stats P.Disk t.hits_disk
-            | None -> (
-                Mutex.lock t.inflight_lock;
-                match Hashtbl.find_opt t.inflight key with
-                | Some fut ->
-                    Mutex.unlock t.inflight_lock;
-                    Atomic.incr t.coalesced_count;
-                    dispatch conn;
-                    Future.on_ready fut
-                      (complete_mp t conn id ~key ~source:P.Coalesced ~processes)
-                | None -> (
-                    match Store.find t.store key with
-                    | Some (stats, `Memory) ->
-                        Mutex.unlock t.inflight_lock;
-                        respond_hit stats P.Memory t.hits_memory
-                    | Some (stats, `Disk) ->
-                        Mutex.unlock t.inflight_lock;
-                        respond_hit stats P.Disk t.hits_disk
-                    | None ->
-                        let fut = Future.create () in
-                        Hashtbl.replace t.inflight key fut;
-                        Mutex.unlock t.inflight_lock;
-                        dispatch conn;
-                        Future.on_ready fut
-                          (complete_mp t conn id ~key ~source:P.Computed
-                             ~processes);
-                        submit_mp t ~mix ~config ~options ~key
-                          ~verify:mr.P.mp_verify ~registered:true fut))))
+          Published.add t.mp_meta key (r.Mp.switches, r.Mp.kernel_runs);
+          Store.put t.store key r.Mp.aggregate;
+          Ok r.Mp.aggregate)
+        (fun source ->
+          complete_with t conn id (fun stats ->
+              let switches, kernel_runs =
+                Option.value (Published.find t.mp_meta key) ~default:(-1, -1)
+              in
+              P.Mp_reply
+                (P.mp_result_of_stats ~key ~source ~processes:(List.length mix)
+                   ~switches ~kernel_runs stats)))
 
 (* --- advisor requests ------------------------------------------------ *)
 
 (* Content address of an advisor run: benchmark and the full geometry /
    area / page tuple the analysis depends on.  "advise-" keeps the
-   namespace disjoint from sim and mp keys; the summary cache and
-   in-flight table are advise-private (the store persists only
+   namespace disjoint from sim and mp keys; summaries live in the
+   advise-private [advise_cache] (the store persists only
    [Stats.t]). *)
 let advise_key (ar : P.advise_request) =
   "advise-"
@@ -694,107 +573,46 @@ let advise_key (ar : P.advise_request) =
               ar.P.ad_page_bytes )
             []))
 
-let run_advise_computation t ~prep ~(ar : P.advise_request) ~geometry ~key
-    ~registered fut =
-  let outcome =
-    match
-      Wp_advise.Advisor.analyze ~benchmark:ar.P.ad_benchmark
-        ~graph:prep.Runner.program.Wp_workloads.Codegen.graph
-        ~profile:prep.Runner.profile_small ~trace:prep.Runner.trace_large
-        ~layout:prep.Runner.placed_layout ~geometry
-        ~page_bytes:ar.P.ad_page_bytes
-        ~area_bytes:(ar.P.ad_area_kb * 1024)
-        ~energy:
-          (Wp_sim.Config.xscale Wp_sim.Config.Baseline).Wp_sim.Config.energy
-        ()
-    with
-    | report ->
-        Atomic.incr t.computations;
-        let result = P.advise_result_of_report ~key ~source:P.Computed report in
-        (* publish before deregistering (same invariant as the store):
-           a request missing the in-flight table afterwards must hit
-           the cache *)
-        Mutex.lock t.advise_lock;
-        Hashtbl.replace t.advise_cache key result;
-        if registered then Hashtbl.remove t.advise_inflight key;
-        Mutex.unlock t.advise_lock;
-        Ok result
-    | exception exn ->
-        if registered then begin
-          Mutex.lock t.advise_lock;
-          Hashtbl.remove t.advise_inflight key;
-          Mutex.unlock t.advise_lock
-        end;
-        Error (Printf.sprintf "computation failed: %s" (Printexc.to_string exn))
-  in
-  Future.fulfill fut outcome
-
-let submit_advise t ~prep ~ar ~geometry ~key ~registered fut =
-  let task () =
-    run_advise_computation t ~prep ~ar ~geometry ~key ~registered fut
-  in
-  if not (Pool.Executor.submit t.exec task) then task ()
-
-let complete_advise t conn id ~source outcome =
-  match outcome with
-  | Ok r ->
-      complete conn
-        { P.id; reply = P.Advise_reply { r with P.adr_source = source } }
-  | Error msg -> complete_error t conn id msg
-
 let handle_advise t conn id (ar : P.advise_request) =
   Atomic.incr t.sim_requests;
   match
-    Wp_cache.Geometry.make
-      ~size_bytes:(ar.P.ad_size_kb * 1024)
-      ~assoc:ar.P.ad_ways ~line_bytes:ar.P.ad_line_bytes
+    let* geometry =
+      match
+        Wp_cache.Geometry.make
+          ~size_bytes:(ar.P.ad_size_kb * 1024)
+          ~assoc:ar.P.ad_ways ~line_bytes:ar.P.ad_line_bytes
+      with
+      | g -> Ok g
+      | exception Invalid_argument msg -> Error msg
+    in
+    let* prep = prepared t ar.P.ad_benchmark in
+    Ok (geometry, prep)
   with
-  | exception Invalid_argument msg -> reply_error t conn id msg
-  | geometry -> (
-      match Wp_sim.Sweep.prepared t.engine ar.P.ad_benchmark with
-      | exception Not_found ->
-          reply_error t conn id
-            (Printf.sprintf "unknown benchmark %S" ar.P.ad_benchmark)
-      | exception exn ->
-          reply_error t conn id
-            (Printf.sprintf "prepare failed: %s" (Printexc.to_string exn))
-      | prep ->
-          let key = advise_key ar in
-          if ar.P.ad_no_cache then begin
-            let fut = Future.create () in
-            dispatch conn;
-            Future.on_ready fut (complete_advise t conn id ~source:P.Computed);
-            submit_advise t ~prep ~ar ~geometry ~key ~registered:false fut
-          end
-          else begin
-            Mutex.lock t.advise_lock;
-            match Hashtbl.find_opt t.advise_cache key with
-            | Some r ->
-                Mutex.unlock t.advise_lock;
-                Atomic.incr t.hits_memory;
-                reply conn
-                  {
-                    P.id;
-                    reply = P.Advise_reply { r with P.adr_source = P.Memory };
-                  }
-            | None -> (
-                match Hashtbl.find_opt t.advise_inflight key with
-                | Some fut ->
-                    Mutex.unlock t.advise_lock;
-                    Atomic.incr t.coalesced_count;
-                    dispatch conn;
-                    Future.on_ready fut
-                      (complete_advise t conn id ~source:P.Coalesced)
-                | None ->
-                    let fut = Future.create () in
-                    Hashtbl.replace t.advise_inflight key fut;
-                    Mutex.unlock t.advise_lock;
-                    dispatch conn;
-                    Future.on_ready fut
-                      (complete_advise t conn id ~source:P.Computed);
-                    submit_advise t ~prep ~ar ~geometry ~key ~registered:true
-                      fut)
-          end)
+  | Error msg -> reply_error t conn id msg
+  | Ok (geometry, prep) ->
+      let key = advise_key ar in
+      dispatch conn;
+      resolve t t.advise_inflight ~key ~no_cache:ar.P.ad_no_cache
+        ~find:(fun key ->
+          Option.map (fun r -> (r, `Memory)) (Published.find t.advise_cache key))
+        ~compute:(fun () ->
+          let report =
+            Wp_advise.Advisor.analyze ~benchmark:ar.P.ad_benchmark
+              ~graph:prep.Runner.program.Wp_workloads.Codegen.graph
+              ~profile:prep.Runner.profile_small ~trace:prep.Runner.trace_large
+              ~layout:prep.Runner.placed_layout ~geometry
+              ~page_bytes:ar.P.ad_page_bytes
+              ~area_bytes:(ar.P.ad_area_kb * 1024)
+              ~energy:
+                (Wp_sim.Config.xscale Wp_sim.Config.Baseline).Wp_sim.Config.energy
+              ()
+          in
+          let r = P.advise_result_of_report ~key ~source:P.Computed report in
+          Published.add t.advise_cache key r;
+          Ok r)
+        (fun source ->
+          complete_with t conn id (fun r ->
+              P.Advise_reply { r with P.adr_source = source }))
 
 let handle_line t conn line =
   Atomic.incr t.requests;
@@ -815,10 +633,52 @@ let handle_line t conn line =
 
 (* --- connection threads --------------------------------------------- *)
 
+let max_line_bytes = 1 lsl 20
+
+(* The next request line: [`Line] without its newline, [`Oversize]
+   for a line longer than [max_line_bytes] (its bytes are dropped as
+   they arrive, up to and including the next newline), or [`Eof] on
+   end of input or a read error.  A final unterminated line still
+   counts, as with [input_line]. *)
+let read_line fd r =
+  let rec go ~oversize =
+    if r.pos = r.len then
+      match Unix.read fd r.buf 0 (Bytes.length r.buf) with
+      | 0 -> finish ~oversize ~at_eof:true
+      | n ->
+          r.pos <- 0;
+          r.len <- n;
+          go ~oversize
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ~oversize
+      | exception Unix.Unix_error _ -> finish ~oversize ~at_eof:true
+    else begin
+      let nl = ref r.pos in
+      while !nl < r.len && Bytes.get r.buf !nl <> '\n' do incr nl done;
+      let n = !nl - r.pos in
+      let oversize = oversize || Buffer.length r.line + n > max_line_bytes in
+      if not oversize then Buffer.add_subbytes r.line r.buf r.pos n;
+      if !nl = r.len then begin
+        r.pos <- r.len;
+        go ~oversize
+      end
+      else begin
+        r.pos <- !nl + 1;
+        finish ~oversize ~at_eof:false
+      end
+    end
+  and finish ~oversize ~at_eof =
+    let line = Buffer.contents r.line in
+    Buffer.clear r.line;
+    if oversize then `Oversize
+    else if at_eof && line = "" then `Eof
+    else `Line line
+  in
+  go ~oversize:false
+
 let reader_loop t conn () =
   let rec loop () =
-    match input_line conn.ic with
-    | line ->
+    match read_line conn.fd conn.reader with
+    | `Line line ->
         (* isolate the handler: a crashing request must answer that
            request, not end the connection *)
         (try handle_line t conn line
@@ -826,8 +686,12 @@ let reader_loop t conn () =
            reply_error t conn 0
              (Printf.sprintf "internal error: %s" (Printexc.to_string exn)));
         loop ()
-    | exception End_of_file -> ()
-    | exception Sys_error _ -> ()
+    | `Oversize ->
+        Atomic.incr t.requests;
+        reply_error t conn 0
+          (Printf.sprintf "request line longer than %d bytes" max_line_bytes);
+        loop ()
+    | `Eof -> ()
   in
   loop ();
   Mutex.lock conn.out_lock;
@@ -870,7 +734,8 @@ let spawn_conn t fd =
   let conn =
     {
       fd;
-      ic = Unix.in_channel_of_descr fd;
+      reader =
+        { buf = Bytes.create 65536; pos = 0; len = 0; line = Buffer.create 256 };
       oc = Unix.out_channel_of_descr fd;
       out_lock = Mutex.create ();
       out_cond = Condition.create ();

@@ -12,11 +12,16 @@
       optional disk persistence), and {e in-flight} identical requests
       coalesce onto one computation through a table of futures — the
       sweep engine's shared-baseline dedup generalised to live
-      traffic;
-    - per-request error isolation: a malformed line, unknown
-      benchmark, invalid configuration or crashing computation answers
-      that request with {!Protocol.Error_reply} and nothing else —
-      the connection stays up, the daemon stays up.
+      traffic.  Every request kind — sim, each grid cell, mp and
+      advise — takes the one memo path: published result, then
+      in-flight table, then executor.  Sim and mp results are
+      [Stats.t] and share the store (so both persist) and one
+      in-flight table; advisor summaries live in an in-memory map with
+      their own in-flight table;
+    - per-request error isolation: a malformed or oversize line,
+      unknown benchmark, invalid configuration or crashing computation
+      answers that request with {!Protocol.Error_reply} and nothing
+      else — the connection stays up, the daemon stays up.
 
     Graceful shutdown (a [shutdown] request, or {!stop}): the listener
     closes immediately, connected clients keep being served until they
@@ -61,3 +66,8 @@ val computations : t -> int
 
 val server_stats : t -> Protocol.server_stats
 val store : t -> Store.t
+
+val max_line_bytes : int
+(** The longest request line read (1 MiB, newline excluded).  A longer
+    line is dropped up to its newline and answered with one
+    {!Protocol.Error_reply}; the connection stays up. *)

@@ -56,9 +56,9 @@ val sim_request :
 type mp_request = {
   mp_mix : string;
       (** comma-separated MiBench names, or ["random:SEED"] for a
-          {!Wp_check.Progen.mix_of_seed} mix — the daemon resolves it
-          and content-addresses the result on the fully resolved
-          (mix, config, options) triple *)
+          {!Wp_mp.Mix.of_seed} mix — the daemon resolves it with
+          {!Wp_mp.Mix.parse} and content-addresses the result on the
+          fully resolved (mix, config, options) triple *)
   mp_coverage : string;
       (** ["all"], ["half"], ["none"], or ["mix"] (keep the mix's own
           placement flags) *)
@@ -223,15 +223,19 @@ val sim_result_of_stats :
   key:string -> source:source -> Wp_sim.Stats.t -> sim_result
 
 type mp_result = {
-  mpr_key : string;  (** content address of (mix, config, options) *)
+  mpr_key : string;
+      (** content address of (mix, config, options): a 32-hex store
+          key, disjoint from every sim key *)
   mpr_source : source;
   mpr_digest : string;  (** MD5 hex of the marshalled aggregate stats *)
   mpr_cycles : int;
   mpr_retired : int;
   mpr_processes : int;
   mpr_switches : int;
-      (** machine-level fact the store does not persist: a disk hit
-          served by a daemon that never ran the mix reports [-1] *)
+      (** machine-level fact the store does not persist (it keeps the
+          aggregate [Stats.t] only): a disk hit — e.g. the first
+          request after a restart — served by a daemon that never ran
+          the mix reports [-1] *)
   mpr_kernel_runs : int;  (** [-1] under the same condition *)
   mpr_icache_energy_pj : float;
   mpr_total_energy_pj : float;

@@ -98,6 +98,18 @@ let test_fast_equals_reference () =
       check_same_result
         (Printf.sprintf "%s q=%d" (Config.scheme_name scheme) q)
         fast reference;
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s q=%d: no divergences" (Config.scheme_name scheme) q)
+        []
+        (Mp.Machine.divergences ~fast ~reference);
+      (* the comparison sees a different schedule *)
+      Alcotest.(check bool)
+        (Printf.sprintf "%s q=%d: another quantum diverges"
+           (Config.scheme_name scheme) q)
+        true
+        (Mp.Machine.divergences ~fast
+           ~reference:(Mp.Machine.run ~config ~options:(quantum (q + 1_000)) (trio ()))
+        <> []);
       Alcotest.(check bool)
         (Printf.sprintf "%s q=%d: the machine actually switched"
            (Config.scheme_name scheme) q)

@@ -615,7 +615,9 @@ let test_daemon_error_isolation () =
 let test_daemon_persistence_across_restart () =
   with_store_dir (fun dir ->
       let sr = P.sim_request ~benchmark:"crc" ~scheme:Config.Way_memoization () in
+      let mr = P.mp_request ~mix:"crc,sha" ~scheme:Config.Way_memoization () in
       let digest = ref "" in
+      let mp_digest = ref "" in
       with_daemon ~workers:1 ~store_dir:dir (fun daemon endpoint ->
           let client = ok_or_fail "connect" (Client.connect endpoint) in
           Fun.protect
@@ -625,7 +627,15 @@ let test_daemon_persistence_across_restart () =
               Alcotest.(check bool) "computed" true (r.P.source = P.Computed);
               digest := r.P.digest;
               Alcotest.(check int) "one computation" 1
-                (Daemon.computations daemon)));
+                (Daemon.computations daemon);
+              let m = ok_or_fail "mp" (Client.mp client mr) in
+              Alcotest.(check bool) "mp computed" true
+                (m.P.mpr_source = P.Computed);
+              mp_digest := m.P.mpr_digest;
+              Alcotest.(check int) "two entries on disk" 2
+                (Store.disk_entries (Daemon.store daemon));
+              Alcotest.(check int) "no write failures" 0
+                (Store.write_failures (Daemon.store daemon))));
       (* a new daemon on the same store answers from disk: zero
          simulator runs, bit-identical result *)
       with_daemon ~workers:1 ~store_dir:dir (fun daemon endpoint ->
@@ -642,7 +652,18 @@ let test_daemon_persistence_across_restart () =
               (* and the promoted entry now hits memory *)
               let r2 = ok_or_fail "third run" (Client.sim client sr) in
               Alcotest.(check bool) "promoted to memory" true
-                (r2.P.source = P.Memory)));
+                (r2.P.source = P.Memory);
+              (* the mp result persisted too; the machine facts did not *)
+              let m = ok_or_fail "mp after restart" (Client.mp client mr) in
+              Alcotest.(check bool) "mp disk hit" true (m.P.mpr_source = P.Disk);
+              Alcotest.(check string) "mp bit-identical across restart"
+                !mp_digest m.P.mpr_digest;
+              Alcotest.(check int) "switches unknown after restart" (-1)
+                m.P.mpr_switches;
+              Alcotest.(check int) "kernel runs unknown after restart" (-1)
+                m.P.mpr_kernel_runs;
+              Alcotest.(check int) "still no computation" 0
+                (Daemon.computations daemon)));
       (* corrupt the persisted entry: the next daemon recomputes *)
       (match Sys.readdir dir with
       | [||] -> Alcotest.fail "store directory empty"
@@ -661,6 +682,55 @@ let test_daemon_persistence_across_restart () =
                 r.P.digest;
               Alcotest.(check int) "one computation" 1
                 (Daemon.computations daemon))))
+
+(* Request lines are capped: an oversize line is answered with one
+   error and skipped to its newline, and the connection stays up. *)
+let test_daemon_oversize_line () =
+  with_daemon ~workers:1 (fun daemon endpoint ->
+      let addr = ok_or_fail "address" (P.sockaddr_of_endpoint endpoint) in
+      let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
+      Unix.connect fd addr;
+      let ic = Unix.in_channel_of_descr fd in
+      let oc = Unix.out_channel_of_descr fd in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let send line =
+            output_string oc line;
+            output_char oc '\n';
+            flush oc
+          in
+          let recv () =
+            ok_or_fail "response" (P.response_of_line (input_line ic))
+          in
+          let error_of what = function
+            | { P.reply = P.Error_reply m; _ } -> m
+            | _ -> Alcotest.failf "%s: expected an error reply" what
+          in
+          let oversize m =
+            let needle = "longer than" in
+            let n = String.length needle in
+            let rec go i =
+              i + n <= String.length m && (String.sub m i n = needle || go (i + 1))
+            in
+            go 0
+          in
+          (* at the cap the line is read (and fails to parse) *)
+          send (String.make Daemon.max_line_bytes 'x');
+          Alcotest.(check bool) "a line at the cap is read" false
+            (oversize (error_of "at the cap" (recv ())));
+          (* one byte over it is refused unread *)
+          send (String.make (Daemon.max_line_bytes + 1) 'x');
+          Alcotest.(check bool) "an oversize line is refused" true
+            (oversize (error_of "over the cap" (recv ())));
+          (* the same connection still serves *)
+          output_string oc (P.request_to_line { P.id = 7; payload = P.Ping });
+          flush oc;
+          (match recv () with
+          | { P.id = 7; reply = P.Pong } -> ()
+          | _ -> Alcotest.fail "expected pong 7 after the oversize line");
+          Alcotest.(check int) "both errors counted" 2
+            (Daemon.server_stats daemon).P.errors))
 
 (* --- concurrency stress ---------------------------------------------- *)
 
@@ -742,9 +812,8 @@ let test_daemon_mp () =
             (r1.P.mpr_source = P.Computed);
           Alcotest.(check int) "two processes" 2 r1.P.mpr_processes;
           Alcotest.(check bool) "switches observed" true (r1.P.mpr_switches > 0);
-          Alcotest.(check bool) "keys live in the mp- namespace" true
-            (String.length r1.P.mpr_key > 3
-            && String.sub r1.P.mpr_key 0 3 = "mp-");
+          Alcotest.(check int) "the key is a 32-hex store key" 32
+            (String.length r1.P.mpr_key);
           (* the same run locally: the aggregate is bit-identical *)
           let mix =
             Wayplace.Mp.Mix.apply_coverage Wayplace.Mp.Mix.Half_placed
@@ -774,6 +843,14 @@ let test_daemon_mp () =
           Alcotest.(check int) "switches preserved on the hit"
             r1.P.mpr_switches r2.P.mpr_switches;
           Alcotest.(check int) "one computation" 1 (Daemon.computations daemon);
+          (* mp and sim results share the store: their keys never collide *)
+          let sim_key =
+            (ok_or_fail "sim"
+               (Client.sim client (P.sim_request ~benchmark:"crc" ~scheme:wp16 ())))
+              .P.key
+          in
+          Alcotest.(check bool) "distinct from the sim keys" true
+            (r1.P.mpr_key <> sim_key);
           (* verify-on-compute replays the reference loop and passes *)
           let r3 =
             ok_or_fail "verified mp"
@@ -878,42 +955,89 @@ let test_daemon_advise () =
           ignore daemon;
           ok_or_fail "daemon still serving" (Client.ping client)))
 
+(* One request of each memoised kind, with how to read the source and
+   digest out of its reply. *)
+let memo_kinds =
+  [
+    ( "sim",
+      (fun no_cache ->
+        P.Sim
+          (P.sim_request ~no_cache ~benchmark:"sha" ~scheme:Config.Way_prediction
+             ())),
+      function
+      | P.Sim_reply s -> (s.P.source, s.P.digest)
+      | _ -> Alcotest.fail "expected a sim reply" );
+    ( "mp",
+      (fun no_cache ->
+        P.Mp
+          (P.mp_request ~no_cache ~mix:"crc,sha" ~quantum:10_000
+             ~scheme:Config.Baseline ())),
+      function
+      | P.Mp_reply m -> (m.P.mpr_source, m.P.mpr_digest)
+      | _ -> Alcotest.fail "expected an mp reply" );
+    ( "advise",
+      (fun no_cache -> P.Advise (P.advise_request ~no_cache ~benchmark:"sha" ())),
+      function
+      | P.Advise_reply r -> (r.P.adr_source, r.P.adr_digest)
+      | _ -> Alcotest.fail "expected an advise reply" );
+  ]
+
 let test_daemon_coalesces_inflight () =
   with_daemon ~workers:1 (fun daemon endpoint ->
       let client = ok_or_fail "connect" (Client.connect endpoint) in
       Fun.protect
         ~finally:(fun () -> Client.close client)
         (fun () ->
-          (* pipeline a burst of identical fresh requests before the
-             first can complete: exactly one computation, everyone
-             answered identically *)
-          let sr = P.sim_request ~benchmark:"sha" ~scheme:Config.Way_prediction () in
-          let n = 16 in
-          let ids = List.init n (fun _ -> Client.send client (P.Sim sr)) in
-          let responses =
+          (* pipeline [n] identical requests before the first can
+             complete; answer every one, reading source and digest *)
+          let burst n payload read =
+            let ids = List.init n (fun _ -> Client.send client payload) in
             List.map
               (fun _ ->
                 match Client.recv client with
-                | Ok r -> r
+                | Ok { P.reply = P.Error_reply m; _ } ->
+                    Alcotest.failf "request failed: %s" m
+                | Ok r -> read r.P.reply
                 | Error msg -> Alcotest.failf "recv failed: %s" msg)
               ids
           in
-          Alcotest.(check int) "all answered" n (List.length responses);
-          let digests =
-            List.map
-              (fun r ->
-                match r.P.reply with
-                | P.Sim_reply s -> s.P.digest
-                | P.Error_reply m -> Alcotest.failf "request failed: %s" m
-                | _ -> Alcotest.fail "unexpected reply")
-              responses
-          in
-          let first = List.hd digests in
           List.iter
-            (fun d -> Alcotest.(check string) "identical digest" first d)
-            digests;
-          Alcotest.(check int) "burst coalesced onto one computation" 1
-            (Daemon.computations daemon)))
+            (fun (kind, payload, read) ->
+              let before = Daemon.computations daemon in
+              (* a fresh burst: exactly one computation, everyone else
+                 coalesced onto it, everyone answered identically *)
+              let n = 16 in
+              let answers = burst n (payload false) read in
+              Alcotest.(check int) (kind ^ ": all answered") n
+                (List.length answers);
+              let digest = snd (List.hd answers) in
+              List.iter
+                (fun (_, d) ->
+                  Alcotest.(check string) (kind ^ ": identical digest") digest d)
+                answers;
+              let count src = List.length (List.filter (fun (s, _) -> s = src) answers) in
+              Alcotest.(check int) (kind ^ ": one computed reply") 1
+                (count P.Computed);
+              Alcotest.(check int) (kind ^ ": the rest coalesced") (n - 1)
+                (count P.Coalesced);
+              Alcotest.(check int)
+                (kind ^ ": burst coalesced onto one computation")
+                (before + 1)
+                (Daemon.computations daemon);
+              (* no_cache skips the read and coalescing: each request
+                 computes, bit-identically *)
+              let fresh = burst 2 (payload true) read in
+              List.iter
+                (fun (src, d) ->
+                  Alcotest.(check bool) (kind ^ ": no_cache computes") true
+                    (src = P.Computed);
+                  Alcotest.(check string) (kind ^ ": no_cache bit-identical")
+                    digest d)
+                fresh;
+              Alcotest.(check int) (kind ^ ": one computation per no_cache run")
+                (before + 3)
+                (Daemon.computations daemon))
+            memo_kinds))
 
 let test_daemon_grid () =
   with_daemon ~workers:2 (fun daemon endpoint ->
@@ -1121,6 +1245,8 @@ let () =
             test_daemon_basics;
           Alcotest.test_case "per-request error isolation" `Quick
             test_daemon_error_isolation;
+          Alcotest.test_case "oversize lines are refused, connection kept"
+            `Quick test_daemon_oversize_line;
           Alcotest.test_case "mp requests memoise on the full mix" `Quick
             test_daemon_mp;
           Alcotest.test_case "advise requests memoise on their inputs" `Quick
