@@ -728,9 +728,12 @@ let csv () =
 (* Three timed paths per cell: "fast" (block-batched replay with       *)
 (* steady-state fast-forward off — comparable with the committed       *)
 (* baselines, which predate fast-forward), "fastforward" (the          *)
-(* default production path), and optionally "reference".  The          *)
-(* loop-dominated Mibench variants ride along so the fast-forward      *)
-(* speedup is tracked where it matters.                                *)
+(* default production path), and optionally "reference".  Both replay  *)
+(* paths take the trace's data-side totals from the Dside memo, so     *)
+(* each benchmark also gets one cold "dside" row: the wall time of the *)
+(* data-side pass every scheme shares.  The loop-dominated Mibench     *)
+(* variants ride along so the fast-forward speedup is tracked where it *)
+(* matters.                                                            *)
 
 let perf_json = ref None
 let perf_repeat = ref 3
@@ -758,7 +761,7 @@ let median xs =
 type perf_row = {
   pr_benchmark : string;
   pr_scheme : string;
-  pr_path : string;  (** "fast", "fastforward" or "reference" *)
+  pr_path : string;  (** "fast", "fastforward", "reference" or "dside" *)
   pr_instrs : int;
   pr_wall_s : float;
   pr_wall_min_s : float;
@@ -795,7 +798,34 @@ let perf_rows () =
   List.concat_map
     (fun name ->
       let prepared = Runner.prepare (Mibench.find name) in
-      List.concat_map
+      (* The data-side pass, timed cold (unmemoised); then warmed once
+         in the memo so no replay sample below pays for it. *)
+      let dside =
+        let config = Config.xscale Config.Baseline in
+        let compiled = Runner.compiled_for prepared config in
+        let blocks = prepared.Runner.trace_large.Tracer.blocks in
+        let walls =
+          List.init repeat (fun _ ->
+              fst
+                (time_run (fun () ->
+                     Wayplace.Sim.Dside.compute config ~blocks compiled)))
+        in
+        ignore (Wayplace.Sim.Dside.totals config ~blocks compiled);
+        {
+          pr_benchmark = name;
+          pr_scheme = "(all)";
+          pr_path = "dside";
+          pr_instrs = prepared.Runner.trace_large.Tracer.dynamic_instrs;
+          pr_wall_s = median walls;
+          pr_wall_min_s = List.fold_left min infinity walls;
+          pr_pair_ratio_min = 1.0;
+          pr_ff_skipped_frac = 0.0;
+          pr_cache_hits = 0;
+          pr_cache_inserts = 0;
+        }
+      in
+      dside
+      :: List.concat_map
         (fun scheme ->
           let config = Config.xscale scheme in
           let one pr_path run =
@@ -1018,6 +1048,19 @@ let perf () =
   let is_loop r = List.mem r.pr_benchmark Mibench.loop_names in
   ignore (aggregate "suite" (fun r -> not (is_loop r)) "fast");
   ignore (aggregate "suite" (fun r -> not (is_loop r)) "fastforward");
+  (* The fast rows replay on warm data-side totals; charge each
+     benchmark's one cold pass to its five scheme runs. *)
+  (let suite path =
+     List.filter (fun r -> (not (is_loop r)) && r.pr_path = path) rows
+   in
+   let wall rs = List.fold_left (fun acc r -> acc +. r.pr_wall_s) 0.0 rs in
+   let fast = suite "fast" in
+   let total = wall fast +. wall (suite "dside") in
+   if total > 0.0 then
+     let instrs = List.fold_left (fun acc r -> acc + r.pr_instrs) 0 fast in
+     Printf.printf "%-12s %-22s %-10s %12d %10.4f %14.4g\n" "suite" "(all)"
+       "fast+dside" instrs total
+       (float_of_int instrs /. total));
   let loops_off = aggregate "loops" is_loop "fast" in
   let loops_on = aggregate "loops" is_loop "fastforward" in
   (match (loops_off, loops_on) with

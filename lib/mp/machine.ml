@@ -76,7 +76,7 @@ type proc_state = {
   base : Wp_isa.Addr.t;
   warea : int;  (** way-placed window bytes at [base]; 0 if unplaced *)
   s : Replay.stream;
-  step : int -> int;  (** the stream's block step *)
+  step : int -> unit;  (** the stream's block step *)
   mutable k : int;  (** next trace position *)
   mutable since : int;  (** the stream's cycles at the current dispatch *)
   mutable dispatches : int;
@@ -213,11 +213,12 @@ let run ?probe ?(reference_only = false) ?fastforward
   let exec p k =
     match probe with
     | Some pr when not reference_only ->
-        let instrs = !(p.s.Replay.instrs) in
-        m_cycles := !m_cycles + p.step k;
+        let cycles = !(p.s.Replay.cycles) and instrs = !(p.s.Replay.instrs) in
+        p.step k;
+        m_cycles := !m_cycles + !(p.s.Replay.cycles) - cycles;
         m_instrs := !m_instrs + !(p.s.Replay.instrs) - instrs;
         pr (Probe.Retire { cycles = !m_cycles; instrs = !m_instrs })
-    | Some _ | None -> ignore (p.step k)
+    | Some _ | None -> p.step k
   in
   let finished p = p.k >= Array.length p.s.Replay.blocks in
   let used p = !(p.s.Replay.cycles) - p.since in

@@ -4,7 +4,13 @@
     instruction cache); it exists so that cycle counts and total-energy
     figures (the ED product) include a realistic data side.  Stores are
     modelled write-through with no write-back accounting — a
-    simplification that cancels out of every normalised metric. *)
+    simplification that cancels out of every normalised metric.
+
+    Because it is scheme-invariant, a single-process run does not
+    replay it block by block: {!Dside} runs it once per (trace, D-side
+    configuration, data seed) and the run adds the totals at
+    finalisation.  A live instance serves that pass, the reference
+    step, probed runs and [Mp.Machine]. *)
 
 type t
 
@@ -24,4 +30,6 @@ val flush_tlb : t -> unit
 
 val fingerprint : t -> add:(int -> unit) -> unit
 (** Canonical state fingerprint (D-cache + D-TLB) for the steady-state
-    fast-forward detector. *)
+    fast-forward detector, on streams whose data side is live
+    ([Mp.Machine] processes); single-process runs have no data state to
+    fingerprint. *)

@@ -25,17 +25,14 @@ type stream = {
   blocks : int array;
   info : Compiled_trace.block_info array;
   plan : Compiled_trace.plan;
-  data : Data_stream.t;
+  data : Data_stream.t option;
   stats : Stats.t;
   cycles : int ref;
   instrs : int ref;
 }
 
-let stream (config : Config.t) ~(trace : Wp_workloads.Tracer.trace) ~stats
-    compiled =
-  let spec =
-    (Compiled_trace.program compiled).Wp_workloads.Codegen.spec
-  in
+let stream ?(live_data = true) (config : Config.t)
+    ~(trace : Wp_workloads.Tracer.trace) ~stats compiled =
   {
     compiled;
     blocks = trace.Wp_workloads.Tracer.blocks;
@@ -43,7 +40,7 @@ let stream (config : Config.t) ~(trace : Wp_workloads.Tracer.trace) ~stats
     plan =
       Compiled_trace.plan compiled
         ~line_bytes:config.icache.Wp_cache.Geometry.line_bytes;
-    data = Data_stream.create ~seed:(spec.Wp_workloads.Spec.seed lxor 0xDA7A);
+    data = (if live_data then Some (Dside.data_stream compiled) else None);
     stats;
     cycles = ref 0;
     instrs = ref 0;
@@ -54,50 +51,45 @@ let finish s =
   s.stats.Stats.retired_instrs <- !(s.instrs)
 
 (* The block-batched fast step: same-line runs fetched in one
-   [Fetch_engine.fetch_run] call each, memory ops replayed afterwards in
-   program order, cycles accumulated from the plan's pre-summed execute
-   latencies.  Safe reorderings only: the fetch and data engines share
-   no state, and energy is priced from counts at the end, so moving a
-   run's fetches ahead of its data accesses changes no counter.
-   Branches exist only as block terminators (Basic_block validates
-   this), so the predictor runs once per block.  The stream's tables
-   are bound once, outside the per-block closure. *)
+   [Fetch_engine.fetch_run] call each, cycles accumulated from the
+   plan's pre-summed execute latencies, then the block's memory ops in
+   program order through the one data-side hook — live, or nothing when
+   the driver adds the trace's {!Dside} totals instead.  Safe
+   reorderings only: the fetch and data engines share no state, and
+   energy is priced from counts at the end, so running a block's
+   fetches ahead of its data accesses changes no counter.  Branches
+   exist only as block terminators (Basic_block validates this), so the
+   predictor runs once per block.  The stream's tables are bound once,
+   outside the per-block closure. *)
 let fast_step m s =
   let blocks = s.blocks and info = s.info and plan = s.plan in
   let nblocks = Array.length blocks in
-  let engine = m.engine and dmem = m.dmem and btb = m.btb in
+  let engine = m.engine and btb = m.btb in
   let mispredict_penalty = m.mispredict_penalty in
-  let data = s.data and stats = s.stats in
+  let stats = s.stats in
   let cycles = s.cycles and instrs = s.instrs in
+  let data_block =
+    match s.data with
+    | None -> fun _ -> 0
+    | Some data ->
+        let dmem = m.dmem in
+        fun b -> Dside.replay_block dmem data stats b
+  in
   fun k ->
     let id = blocks.(k) in
     let b = info.(id) in
     let pb = plan.(id) in
     let runs = pb.Compiled_trace.runs in
     let run_cycles = pb.Compiled_trace.run_cycles in
-    let mem = b.Compiled_trace.mem in
-    let n_mem = Array.length mem in
     let pc = ref b.Compiled_trace.start in
-    let off = ref 0 in
-    let mi = ref 0 in
     let delta = ref 0 in
     for r = 0 to Array.length runs - 1 do
       let len = runs.(r) in
       let fetch_stall = Fetch_engine.fetch_run engine stats !pc ~n:len in
       delta := !delta + run_cycles.(r) + fetch_stall;
-      let run_end = !off + len in
-      while !mi < n_mem && mem.(!mi).Compiled_trace.pos < run_end do
-        let op = mem.(!mi) in
-        delta :=
-          !delta
-          + Dmem.access dmem stats
-              (Data_stream.next data op.Compiled_trace.locality)
-              ~write:op.Compiled_trace.write;
-        incr mi
-      done;
-      off := run_end;
       pc := !pc + (len * Wp_isa.Instr.size_bytes)
     done;
+    delta := !delta + data_block b;
     if b.Compiled_trace.term_branch then begin
       let taken =
         k + 1 < nblocks && blocks.(k + 1) = b.Compiled_trace.taken_succ
@@ -107,8 +99,7 @@ let fast_step m s =
       if predicted <> taken then delta := !delta + mispredict_penalty
     end;
     cycles := !cycles + !delta;
-    instrs := !instrs + b.Compiled_trace.n_instrs;
-    !delta
+    instrs := !instrs + b.Compiled_trace.n_instrs
 
 (* The per-instruction reference step: fetch, data access, retire — one
    instruction at a time through the core model.  This is the
@@ -118,6 +109,11 @@ let reference_step core m s =
   let blocks = s.blocks in
   let nblocks = Array.length blocks in
   let bodies = Compiled_trace.bodies s.compiled in
+  let data =
+    match s.data with
+    | Some data -> data
+    | None -> invalid_arg "Replay.reference_step: the data side is not live"
+  in
   fun k ->
     let id = blocks.(k) in
     let { Compiled_trace.start; taken_succ; _ } = s.info.(id) in
@@ -133,11 +129,11 @@ let reference_step core m s =
         match opcode with
         | Wp_isa.Opcode.Load ->
             Dmem.access m.dmem s.stats
-              (Data_stream.next s.data instr.Wp_isa.Instr.locality)
+              (Data_stream.next data instr.Wp_isa.Instr.locality)
               ~write:false
         | Wp_isa.Opcode.Store ->
             Dmem.access m.dmem s.stats
-              (Data_stream.next s.data instr.Wp_isa.Instr.locality)
+              (Data_stream.next data instr.Wp_isa.Instr.locality)
               ~write:true
         | Wp_isa.Opcode.Alu _ | Mac | Branch | Jump | Call | Return | Nop -> 0
       in
@@ -148,10 +144,8 @@ let reference_step core m s =
       in
       Core_model.retire core ~pc ~opcode ~fetch_stall ~dmem_stall ~taken
     done;
-    let delta = Core_model.cycles core - before in
-    s.cycles := !(s.cycles) + delta;
-    s.instrs := !(s.instrs) + nb;
-    delta
+    s.cycles := !(s.cycles) + Core_model.cycles core - before;
+    s.instrs := !(s.instrs) + nb
 
 let ff_ctx ?cycle_headroom ?(report = Steady_state.create_report ()) ~policy
     ~cache (config : Config.t) m s =
@@ -164,38 +158,43 @@ let ff_ctx ?cycle_headroom ?(report = Steady_state.create_report ()) ~policy
     n_ids = Array.length info;
     n_instrs_of = (fun id -> info.(id).Compiled_trace.n_instrs);
     stream_invariant =
-      (fun ~start ~period ->
-        let seq = ref 0 and stride = ref 0 and rand = ref 0 in
-        for j = start to start + period - 1 do
-          let b = info.(blocks.(j)) in
-          seq := !seq + b.Compiled_trace.seq_bytes;
-          stride := !stride + b.Compiled_trace.stride_bytes;
-          rand := !rand + b.Compiled_trace.n_random
-        done;
-        Data_stream.advance_invariant ~seq_bytes:!seq ~stride_bytes:!stride
-          ~n_random:!rand);
+      (match s.data with
+      | None -> fun ~start:_ ~period:_ -> true
+      | Some _ ->
+          fun ~start ~period ->
+            let seq = ref 0 and stride = ref 0 and rand = ref 0 in
+            for j = start to start + period - 1 do
+              let b = info.(blocks.(j)) in
+              seq := !seq + b.Compiled_trace.seq_bytes;
+              stride := !stride + b.Compiled_trace.stride_bytes;
+              rand := !rand + b.Compiled_trace.n_random
+            done;
+            Data_stream.advance_invariant ~seq_bytes:!seq
+              ~stride_bytes:!stride ~n_random:!rand);
     fingerprint =
       (fun ~start ~period ~add ->
         (* The drowsy clock is the stream's own fetch counter. *)
         Fetch_engine.fingerprint m.engine ~now:s.stats.Stats.fetches ~add;
-        (* A pattern with no memory operations at all never calls into
-           the data side: its state is neither read nor written across
-           the region, so it cannot distinguish boundaries — leave it
-           out of the snapshot (the dominant cost for pure-compute
-           loops). *)
-        let period_mem = ref 0 in
-        for j = start to start + period - 1 do
-          period_mem :=
-            !period_mem + Array.length info.(blocks.(j)).Compiled_trace.mem
-        done;
-        if !period_mem > 0 then begin
-          Dmem.fingerprint m.dmem ~add;
-          Data_stream.fingerprint s.data ~add
-        end;
+        (* The data side is fingerprinted only when it is live and the
+           pattern calls into it: a pattern with no memory operations
+           neither reads nor writes it across the region, so it cannot
+           distinguish boundaries (and it is the dominant cost for
+           pure-compute loops). *)
+        (match s.data with
+        | None -> ()
+        | Some data ->
+            let period_mem = ref 0 in
+            for j = start to start + period - 1 do
+              period_mem :=
+                !period_mem
+                + Array.length info.(blocks.(j)).Compiled_trace.mem
+            done;
+            if !period_mem > 0 then begin
+              Dmem.fingerprint m.dmem ~add;
+              Data_stream.fingerprint data ~add
+            end);
         Btb.fingerprint m.btb ~add);
-    exec =
-      (let step = fast_step m s in
-       fun k -> ignore (step k));
+    exec = fast_step m s;
     set_awake_recorder = Fetch_engine.set_drowsy_recorder m.engine;
     drowsy_advance =
       (fun ~since ~delta ->
@@ -207,15 +206,19 @@ let ff_ctx ?cycle_headroom ?(report = Steady_state.create_report ()) ~policy
     instrs = s.instrs;
     cache;
     (* The scope pins the world an entry was recorded in: the compiled
-       trace's identity and the whole configuration (energy parameters
+       trace's identity, the whole configuration (energy parameters
        and latencies are deliberately not fingerprinted — they are
-       constants of a run, so they must be constants of the key). *)
+       constants of a run, so they must be constants of the key) and
+       the data-side mode, since an entry recorded with a live data
+       side holds its D counters and stalls and one recorded without
+       it holds none. *)
     cache_scope =
       (match cache with
       | None -> ""
       | Some _ ->
-          Printf.sprintf "%d/%s"
+          Printf.sprintf "%d/%s/%s"
             (Compiled_trace.token s.compiled)
-            (Digest.string (Marshal.to_string config [])));
+            (Digest.string (Marshal.to_string config []))
+            (match s.data with None -> "d-totals" | Some _ -> "d-live"));
     cycle_headroom;
   }

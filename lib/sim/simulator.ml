@@ -36,7 +36,13 @@ let run_compiled ?probe ?(schedule = []) ?(reference_only = false)
   validate_schedule config schedule;
   let stats = Stats.create () in
   let m = Replay.machine ?probe config ~code_base in
-  let s = Replay.stream config ~trace ~stats compiled in
+  (* The data side stays in the block loop only where something reads
+     it block by block: the reference step's oracle, and a probe
+     ([Dcache_access]/[Dtlb_miss] events, data stalls in [Retire]
+     timestamps).  Otherwise it is the trace's memoised {!Dside} totals,
+     added once below. *)
+  let live_data = reference_only || Option.is_some probe in
+  let s = Replay.stream ~live_data config ~trace ~stats compiled in
   let nblocks = Array.length s.Replay.blocks in
   let step =
     if reference_only then Replay.reference_step (Replay.core ?probe m) m s
@@ -49,14 +55,14 @@ let run_compiled ?probe ?(schedule = []) ?(reference_only = false)
            block boundaries.  (The reference step's core model ticks
            per instruction itself.) *)
         for k = from to upto - 1 do
-          ignore (step k);
+          step k;
           p
             (Wp_obs.Probe.Retire
                { cycles = !(s.Replay.cycles); instrs = !(s.Replay.instrs) })
         done
     | Some _ | None ->
         for k = from to upto - 1 do
-          ignore (step k)
+          step k
         done
   in
   (* The schedule splits the block loop into segments, with the resize
@@ -86,6 +92,11 @@ let run_compiled ?probe ?(schedule = []) ?(reference_only = false)
    with
   | Some drv when Steady_state.engaged drv -> Steady_state.drive drv
   | Some _ | None -> replay 0 schedule);
+  if not live_data then
+    s.Replay.cycles :=
+      !(s.Replay.cycles)
+      + Dside.add config stats
+          (Dside.totals config ~blocks:s.Replay.blocks compiled);
   Replay.finish s;
   Stats.price stats (Config.prices config)
     ~leakage_pj:

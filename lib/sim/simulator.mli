@@ -18,7 +18,14 @@
     checked against.  Both produce exactly equal {!Stats.t}
     ({!Stats.equal}: equal counters, hence bit-identical energy) — an
     invariant enforced by the differential fuzzer ([Check.Differ]) and
-    [test_fastpath]. *)
+    [test_fastpath].
+
+    The data side is the same for every scheme, so a run without a
+    probe or [reference_only] does not replay it block by block: the
+    trace's memoised {!Dside} totals (D accesses, D-cache and D-TLB
+    misses, and the stall cycles they cost) are added once, before
+    leakage and pricing.  Probed and reference runs keep the live data
+    side, which is the oracle the totals are checked against. *)
 
 val code_base : Wp_isa.Addr.t
 (** Where program text is laid out (0x0001_0000). *)

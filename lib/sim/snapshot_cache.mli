@@ -15,11 +15,14 @@
     iterations until convergence.
 
     Soundness is by key construction, not by trust: an entry's key
-    covers (a) a {e scope} — the compiled trace's identity and the
-    full marshalled configuration, so effects recorded under one
-    energy/latency/geometry parameterisation can never serve another,
-    and way-memoization's link-table fingerprints can never alias a
-    plain CAM's — (b) the period's block-id sequence, and (c) every
+    covers (a) a {e scope} — the compiled trace's identity, the full
+    marshalled configuration and the data-side mode, so effects
+    recorded under one energy/latency/geometry parameterisation can
+    never serve another, way-memoization's link-table fingerprints can
+    never alias a plain CAM's, and effects recorded with a live data
+    side (D counters and stalls included) never serve a run that adds
+    its data side at finalisation — (b) the period's block-id
+    sequence, and (c) every
     word of the boundary fingerprint.  The key's hash only indexes the
     table; on a hit the stored scope, pattern and fingerprint are all
     compared outright (the fingerprint word-for-word), so even a hash
@@ -64,8 +67,8 @@ type key
     so the hash is an index, never a proof. *)
 
 val key : scope:string -> period:int -> ids:int array -> fp:int array -> fp_len:int -> key
-(** Key over the caller's scope string (compiled-trace token + config
-    digest), the pattern (period and block-id sequence, [ids] borrowed
+(** Key over the caller's scope string (compiled-trace token, config
+    digest and data-side mode), the pattern (period and block-id sequence, [ids] borrowed
     — callers must not mutate it afterwards) and the boundary
     fingerprint ([fp_len] live words of [fp], hashed but not
     retained). *)

@@ -46,9 +46,14 @@
 
    Bail-out is structural or checked: the engine only runs on plain
    fast-step runs (a probed or resized run takes the fast step without
-   it); drowsy timers, stream cursors and RNG state are part of the
-   fingerprint, so any cross-iteration interaction simply never
-   fingerprints equal and the region is replayed normally. *)
+   it); drowsy timers — and, where the data side is live, stream
+   cursors and RNG state — are part of the fingerprint, so any
+   cross-iteration interaction simply never fingerprints equal and the
+   region is replayed normally.  A single-process run carries no data
+   state at all (its data side is added from {!Dside} at
+   finalisation), so random data addresses cannot block its
+   convergence; the stream-variance veto is a per-driver filter over
+   the shared plan ({!make}), which only live-data drivers set. *)
 
 type policy = {
   max_period_blocks : int;
@@ -151,9 +156,8 @@ let gate_depth = 4
 
 (* A verified periodic stretch: [blocks.(r_start + j) =
    blocks.(r_start + j - r_period)] for every [r_start <= r_start + j
-   < r_end], the pattern passed the stream pre-filter, and one period
-   retires [r_p_instrs] instructions.  Regions are disjoint and sorted
-   by [r_start]. *)
+   < r_end], and one period retires [r_p_instrs] instructions.  Regions
+   are disjoint and sorted by [r_start]. *)
 type region = {
   r_start : int;
   r_period : int;
@@ -164,7 +168,6 @@ type region = {
 type plan = {
   p_regions : region array;
   p_gate_rejected : int;
-  p_vetoed : int;
   p_cost_gated : int;
 }
 
@@ -174,23 +177,20 @@ type plan = {
    counts how long since a block recurred at exactly [gate_d], so a
    stale large distance decays once a full [gate_d] window passes
    without confirmation (an inner loop following unrelated code would
-   otherwise be shadowed forever).  Patterns proven stream-variant are
-   remembered as the last two rejected periods per anchor id (nested
-   loops make one anchor alternate between its inner and outer period,
-   and a single slot thrashes). *)
-let scan ~blocks ~n_ids ~(policy : policy) ~n_instrs_of ~stream_invariant =
+   otherwise be shadowed forever).  The scan reads nothing but the
+   block array and the instruction counts: a driver's stream-variance
+   veto is applied to the finished plan ({!make}), so every caller
+   shares one plan whatever veto it carries. *)
+let scan ~blocks ~n_ids ~(policy : policy) ~n_instrs_of =
   let nblocks = Array.length blocks in
   let max_p = policy.max_period_blocks in
   let last_pos = Array.make n_ids (-1) in
-  let rejected_p1 = Array.make n_ids (-1) in
-  let rejected_p2 = Array.make n_ids (-1) in
   let gate_d = ref 0 in
   let gate_len = ref 0 in
   let gate_below = ref 0 in
   let next_attempt = ref 0 in
   let regions = ref [] in
   let gate_rejected = ref 0 in
-  let vetoed = ref 0 in
   let cost_gated = ref 0 in
   for kk = 0 to nblocks - 1 do
     let id = Array.unsafe_get blocks kk in
@@ -230,14 +230,9 @@ let scan ~blocks ~n_ids ~(policy : policy) ~n_instrs_of ~stream_invariant =
               end
             end);
            let fire_len = if p < gate_depth then p else gate_depth in
-           if
-             !gate_len >= fire_len
-             && kk + p <= nblocks
-             && rejected_p1.(id) <> p
-             && rejected_p2.(id) <> p
-           then begin
-             (* Escalate: exact segment verification, then the stream
-                pre-filter, then size the region. *)
+           if !gate_len >= fire_len && kk + p <= nblocks then begin
+             (* Escalate: exact segment verification, then size the
+                region. *)
              let ok = ref true in
              let j = ref 0 in
              while !ok && !j < p do
@@ -245,15 +240,6 @@ let scan ~blocks ~n_ids ~(policy : policy) ~n_instrs_of ~stream_invariant =
                else incr j
              done;
              if not !ok then incr gate_rejected
-             else if not (stream_invariant ~start:kk ~period:p) then begin
-               (* Stream-variant patterns can never converge (the RNG
-                  or cursors move every iteration); cache the verdict
-                  but keep scanning, so attemptable inner loops inside
-                  this stretch still get their chance. *)
-               incr vetoed;
-               rejected_p2.(id) <- rejected_p1.(id);
-               rejected_p1.(id) <- p
-             end
              else begin
                let je = ref (kk + p) in
                while !je < nblocks && blocks.(!je) = blocks.(!je - p) do
@@ -282,16 +268,15 @@ let scan ~blocks ~n_ids ~(policy : policy) ~n_instrs_of ~stream_invariant =
   {
     p_regions = Array.of_list (List.rev !regions);
     p_gate_rejected = !gate_rejected;
-    p_vetoed = !vetoed;
     p_cost_gated = !cost_gated;
   }
 
 (* Plan memo, keyed by the physical block array and the policy.  The
-   instruction counts and stream composition the scan consults are
-   derived from the program, so they are constants of a given trace —
-   every layout/scheme compiled from it shares the plan.  Keys are
-   held weakly: generated traces (the fuzz corpus) must not accumulate
-   here, and a dead trace's plan goes with it. *)
+   instruction counts the scan consults are derived from the program,
+   so they are constants of a given trace — every layout/scheme
+   compiled from it shares the plan.  Keys are held weakly: generated
+   traces (the fuzz corpus) must not accumulate here, and a dead
+   trace's plan goes with it. *)
 let plan_slots = 64
 let plan_keys : int array Weak.t = Weak.create plan_slots
 let plan_vals : (policy * plan) option array = Array.make plan_slots None
@@ -308,7 +293,7 @@ let plan_find blocks policy =
   in
   go 0
 
-let plan_for ~blocks ~n_ids ~policy ~n_instrs_of ~stream_invariant =
+let plan_for ~blocks ~n_ids ~policy ~n_instrs_of =
   Mutex.lock plan_lock;
   let hit = plan_find blocks policy in
   Mutex.unlock plan_lock;
@@ -317,7 +302,7 @@ let plan_for ~blocks ~n_ids ~policy ~n_instrs_of ~stream_invariant =
   | None -> (
       (* Scan outside the lock — it's pure; a racing domain at worst
          duplicates the work and the first insert wins. *)
-      let pl = scan ~blocks ~n_ids ~policy ~n_instrs_of ~stream_invariant in
+      let pl = scan ~blocks ~n_ids ~policy ~n_instrs_of in
       Mutex.lock plan_lock;
       match plan_find blocks policy with
       | Some pl' ->
@@ -346,9 +331,6 @@ type driver = {
       (** region index marked settled (replay its remainder plainly);
           cleared by {!reawaken} so a preempted region's next boundary
           can hit the snapshot cache on re-dispatch *)
-  mutable snap_a : ibuf;
-  mutable snap_b : ibuf;
-  awake : ibuf;
   mutable budget : int;
   (* Last observed fingerprint length: lets the driver pre-gate
      regions too small to repay even one snapshot without paying for
@@ -361,13 +343,24 @@ type driver = {
 }
 
 let make ctx =
-  let plan =
+  let shared =
     plan_for ~blocks:ctx.blocks ~n_ids:ctx.n_ids ~policy:ctx.policy
-      ~n_instrs_of:ctx.n_instrs_of ~stream_invariant:ctx.stream_invariant
+      ~n_instrs_of:ctx.n_instrs_of
   in
+  (* The driver's own veto: a stream-variant pattern can never converge
+     (the RNG or cursors move every iteration), so its region is never
+     attempted.  Applied per driver, never to the shared plan. *)
+  let regions =
+    Array.of_list
+      (List.filter
+         (fun r -> ctx.stream_invariant ~start:r.r_start ~period:r.r_period)
+         (Array.to_list shared.p_regions))
+  in
+  let plan = { shared with p_regions = regions } in
   let rep = ctx.report in
   rep.gate_rejected <- rep.gate_rejected + plan.p_gate_rejected;
-  rep.vetoed <- rep.vetoed + plan.p_vetoed;
+  rep.vetoed <-
+    rep.vetoed + Array.length shared.p_regions - Array.length regions;
   rep.cost_gated <- rep.cost_gated + plan.p_cost_gated;
   {
     ctx;
@@ -375,14 +368,41 @@ let make ctx =
     plan;
     ri = 0;
     settled_ri = -1;
-    snap_a = ibuf_create 4096;
-    snap_b = ibuf_create 4096;
-    awake = ibuf_create 64;
     budget = ctx.policy.snapshot_budget;
     snap_len_hint = 0;
     zero_ints = [||];
     k = ref 0;
   }
+
+(* Two boundary-fingerprint buffers and the awake-increment recorder:
+   scratch used only inside one {!attempt}, pooled across drivers and
+   threads so that a run allocates none (and a buffer grown for a large
+   fingerprint stays grown).  Per-run buffers are the largest direct
+   major-heap allocation of a short replay; pooling them lowered the
+   peak RSS of a sequence of cold runs by up to 9%. *)
+type scratch = { mutable snap_a : ibuf; mutable snap_b : ibuf; awake : ibuf }
+
+let scratch_pool = ref []
+let scratch_lock = Mutex.create ()
+
+let take_scratch () =
+  Mutex.lock scratch_lock;
+  let sc =
+    match !scratch_pool with
+    | sc :: rest ->
+        scratch_pool := rest;
+        sc
+    | [] ->
+        { snap_a = ibuf_create 4096; snap_b = ibuf_create 4096;
+          awake = ibuf_create 64 }
+  in
+  Mutex.unlock scratch_lock;
+  sc
+
+let give_scratch sc =
+  Mutex.lock scratch_lock;
+  scratch_pool := sc :: !scratch_pool;
+  Mutex.unlock scratch_lock
 
 let pos d = !(d.k)
 let reawaken d = d.settled_ri <- -1
@@ -463,17 +483,17 @@ let try_cache d ~buf ~ids ~p ~je =
             (Some key, true)
           end)
 
-let publish d ~key ~ints_before ~ints_after ~fetches ~iter_cycles ~iter_instrs
-    =
+let publish d sc ~key ~ints_before ~ints_after ~fetches ~iter_cycles
+    ~iter_instrs =
   match (d.ctx.cache, key) with
   | Some cache, Some key ->
       let n = Array.length ints_before in
       let ints_delta = Array.init n (fun i -> ints_after.(i) - ints_before.(i)) in
       Snapshot_cache.add cache ~key
         {
-          Snapshot_cache.e_fp = Array.sub d.snap_b.ia 0 d.snap_b.ilen;
+          Snapshot_cache.e_fp = Array.sub sc.snap_b.ia 0 sc.snap_b.ilen;
           e_ints = ints_delta;
-          e_awake = Array.sub d.awake.ia 0 d.awake.ilen;
+          e_awake = Array.sub sc.awake.ia 0 sc.awake.ilen;
           e_fetches = fetches;
           e_cycles = iter_cycles;
           e_instrs = iter_instrs;
@@ -502,112 +522,117 @@ let attempt d ~p ~je ~skippable ~until =
      the same at every boundary), not from a moving one. *)
   let start = !(d.k) in
   let ids = Array.sub ctx.blocks start p in
-  take_snapshot d d.snap_a ~start ~period:p;
-  d.snap_len_hint <- d.snap_a.ilen;
+  let sc = take_scratch () in
+  take_snapshot d sc.snap_a ~start ~period:p;
+  d.snap_len_hint <- sc.snap_a.ilen;
   let step () =
     let kk = !(d.k) in
     ctx.exec kk;
     d.k := kk + 1
   in
-  match try_cache d ~buf:d.snap_a ~ids ~p ~je with
-  | _, true ->
-      (* served from the cache; [true] iff the whole region was
-         consumed (a headroom-clamped skip leaves a tail) *)
-      !(d.k) + p >= je
-  | key0, false ->
-      let key = ref key0 in
-      let settled = ref true in
-      let converged = ref false in
-      (* Cost gate, now that the fingerprint's actual size is known:
-         convergence takes two snapshots at minimum and each one scans
-         this many words, so a region whose whole skippable stretch is
-         smaller than its own fingerprint is overhead, not speedup
-         (schemes differ by 10x in snapshot size — way-memoization's
-         link table dwarfs a plain CAM's). *)
-      let exhausted = ref (skippable < pol.min_skip_instrs + d.snap_a.ilen) in
-      if !exhausted then rep.cost_gated <- rep.cost_gated + 1;
-      let attempts = ref 0 in
-      let live = until != never in
-      while (not !converged) && not !exhausted do
-        if !(d.k) + p >= je || !attempts >= pol.max_attempts || d.budget <= 0
-        then begin
-          exhausted := true;
-          rep.budget_exhausted <- rep.budget_exhausted + 1
-        end
-        else begin
-          incr attempts;
-          rep.recorded_iterations <- rep.recorded_iterations + 1;
-          ibuf_clear d.awake;
-          let ints_before = Stats.snapshot_ints ctx.stats in
-          let fetches_before = ctx.stats.Stats.fetches in
-          let cyc_before = !(ctx.cycles) in
-          let ins_before = !(ctx.instrs) in
-          ctx.set_awake_recorder (Some (fun aw -> ibuf_push d.awake aw));
-          let stepped = ref 0 in
-          let interrupted = ref false in
-          while (not !interrupted) && !stepped < p do
-            step ();
-            incr stepped;
-            if live && until () then interrupted := true
-          done;
-          ctx.set_awake_recorder None;
-          if !interrupted && !stepped < p then begin
-            (* preempted mid-iteration: the recording is unusable (the
-               blocks themselves executed normally and are accounted;
-               only the observation stops). *)
+  let result =
+    match try_cache d ~buf:sc.snap_a ~ids ~p ~je with
+    | _, true ->
+        (* served from the cache; [true] iff the whole region was
+           consumed (a headroom-clamped skip leaves a tail) *)
+        !(d.k) + p >= je
+    | key0, false ->
+        let key = ref key0 in
+        let settled = ref true in
+        let converged = ref false in
+        (* Cost gate, now that the fingerprint's actual size is known:
+           convergence takes two snapshots at minimum and each one scans
+           this many words, so a region whose whole skippable stretch is
+           smaller than its own fingerprint is overhead, not speedup
+           (schemes differ by 10x in snapshot size — way-memoization's
+           link table dwarfs a plain CAM's). *)
+        let exhausted = ref (skippable < pol.min_skip_instrs + sc.snap_a.ilen) in
+        if !exhausted then rep.cost_gated <- rep.cost_gated + 1;
+        let attempts = ref 0 in
+        let live = until != never in
+        while (not !converged) && not !exhausted do
+          if !(d.k) + p >= je || !attempts >= pol.max_attempts || d.budget <= 0
+          then begin
             exhausted := true;
-            settled := false
+            rep.budget_exhausted <- rep.budget_exhausted + 1
           end
           else begin
-            take_snapshot d d.snap_b ~start ~period:p;
-            if ibuf_equal d.snap_a d.snap_b then begin
-              (* Converged locally.  The publish key is the converged
-                 boundary's: [key0] when the first pair converged, the
-                 last boundary's lookup key otherwise — either way it
-                 was computed over exactly these fingerprint words. *)
-              converged := true;
-              rep.converged <- rep.converged + 1;
-              let ints_after = Stats.snapshot_ints ctx.stats in
-              let fetches = ctx.stats.Stats.fetches - fetches_before in
-              let iter_cycles = !(ctx.cycles) - cyc_before in
-              let iter_instrs = !(ctx.instrs) - ins_before in
-              publish d ~key:!key ~ints_before ~ints_after ~fetches
-                ~iter_cycles ~iter_instrs;
-              let n_rem = (je - 1 - !(d.k)) / p in
-              let m = clamp_iters d ~n_rem ~iter_cycles in
-              if m < n_rem then settled := false;
-              if m > 0 then begin
-                let n = Array.length ints_before in
-                let ints_delta =
-                  Array.init n (fun i -> ints_after.(i) - ints_before.(i))
-                in
-                apply_effects d ~ints_delta ~awake:d.awake.ia ~awake_len:d.awake.ilen ~fetches
-                  ~iter_cycles ~iter_instrs ~iters:m ~period:p
-              end
+            incr attempts;
+            rep.recorded_iterations <- rep.recorded_iterations + 1;
+            ibuf_clear sc.awake;
+            let ints_before = Stats.snapshot_ints ctx.stats in
+            let fetches_before = ctx.stats.Stats.fetches in
+            let cyc_before = !(ctx.cycles) in
+            let ins_before = !(ctx.instrs) in
+            ctx.set_awake_recorder (Some (fun aw -> ibuf_push sc.awake aw));
+            let stepped = ref 0 in
+            let interrupted = ref false in
+            while (not !interrupted) && !stepped < p do
+              step ();
+              incr stepped;
+              if live && until () then interrupted := true
+            done;
+            ctx.set_awake_recorder None;
+            if !interrupted && !stepped < p then begin
+              (* preempted mid-iteration: the recording is unusable (the
+                 blocks themselves executed normally and are accounted;
+                 only the observation stops). *)
+              exhausted := true;
+              settled := false
             end
             else begin
-              (* Not converged yet: the cache may still know this
-                 boundary's state (convergence checked first — it's a
-                 word compare, the lookup builds a key). *)
-              match try_cache d ~buf:d.snap_b ~ids ~p ~je with
-              | _, true ->
-                  converged := true;
-                  settled := !(d.k) + p >= je
-              | k2, false ->
-                  (match k2 with Some _ -> key := k2 | None -> ());
-                  (* Compare the next pair of boundaries. *)
-                  let t = d.snap_a in
-                  d.snap_a <- d.snap_b;
-                  d.snap_b <- t;
-                  if live && until () then begin
-                    exhausted := true;
-                    settled := false
-                  end
+              take_snapshot d sc.snap_b ~start ~period:p;
+              if ibuf_equal sc.snap_a sc.snap_b then begin
+                (* Converged locally.  The publish key is the converged
+                   boundary's: [key0] when the first pair converged, the
+                   last boundary's lookup key otherwise — either way it
+                   was computed over exactly these fingerprint words. *)
+                converged := true;
+                rep.converged <- rep.converged + 1;
+                let ints_after = Stats.snapshot_ints ctx.stats in
+                let fetches = ctx.stats.Stats.fetches - fetches_before in
+                let iter_cycles = !(ctx.cycles) - cyc_before in
+                let iter_instrs = !(ctx.instrs) - ins_before in
+                publish d sc ~key:!key ~ints_before ~ints_after ~fetches
+                  ~iter_cycles ~iter_instrs;
+                let n_rem = (je - 1 - !(d.k)) / p in
+                let m = clamp_iters d ~n_rem ~iter_cycles in
+                if m < n_rem then settled := false;
+                if m > 0 then begin
+                  let n = Array.length ints_before in
+                  let ints_delta =
+                    Array.init n (fun i -> ints_after.(i) - ints_before.(i))
+                  in
+                  apply_effects d ~ints_delta ~awake:sc.awake.ia ~awake_len:sc.awake.ilen ~fetches
+                    ~iter_cycles ~iter_instrs ~iters:m ~period:p
+                end
+              end
+              else begin
+                (* Not converged yet: the cache may still know this
+                   boundary's state (convergence checked first — it's a
+                   word compare, the lookup builds a key). *)
+                match try_cache d ~buf:sc.snap_b ~ids ~p ~je with
+                | _, true ->
+                    converged := true;
+                    settled := !(d.k) + p >= je
+                | k2, false ->
+                    (match k2 with Some _ -> key := k2 | None -> ());
+                    (* Compare the next pair of boundaries. *)
+                    let t = sc.snap_a in
+                    sc.snap_a <- sc.snap_b;
+                    sc.snap_b <- t;
+                    if live && until () then begin
+                      exhausted := true;
+                      settled := false
+                    end
+              end
             end
           end
-        end
-      done;
-      !settled
+        done;
+        !settled
+  in
+  give_scratch sc;
+  result
 
 let advance d ~until =
   let ctx = d.ctx in

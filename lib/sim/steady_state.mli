@@ -21,9 +21,12 @@
     replaying the same trace shares one scan; a patternless trace
     yields an empty list and {!engaged} lets the caller bypass the
     driver entirely, so detection costs such a run nothing per block.
-    The scan is a pure filter: convergence is still established
-    exclusively by fingerprint equality at run time, so a scan miss
-    costs speed, never correctness.
+    The scan reads only the block array and instruction counts; each
+    driver applies its own stream-variance veto ([ctx.stream_invariant])
+    to the shared plan in {!make}, so no caller's veto decides another
+    caller's plan.  The scan is a pure filter: convergence is still
+    established exclusively by fingerprint equality at run time, so a
+    scan miss costs speed, never correctness.
 
     {b Converged iterations are reusable}: with a {!Snapshot_cache}
     attached, every boundary snapshot is also a cache lookup, and a
@@ -38,9 +41,13 @@
     probed and resized runs take the fast step ({!Replay}) without it,
     since a skip emits no probe events and has no block bound at which
     a resize could fire.  Within a plain run, a region is simply replayed
-    normally when fingerprints never match (e.g. RNG-drawing data
-    accesses or drowsy timers that break iteration symmetry), when the
-    candidate pattern is stream-variant, or when the attempt/snapshot
+    normally when fingerprints never match (e.g. drowsy timers that
+    break iteration symmetry, or, where the data side is live, RNG-
+    drawing data accesses), when the driver vetoes the pattern as
+    stream-variant (only [Mp.Machine] processes, whose data side is
+    live, carry a veto; single-process runs add their data side from
+    {!Dside} at finalisation and veto nothing), when the region is too
+    small to repay its own fingerprint, or when the attempt/snapshot
     budgets run out.  {!report} counts each reason. *)
 
 type policy = {
@@ -65,7 +72,8 @@ type report = {
       (** scan-time gate escalations whose exact segment verification
           failed — a stable recurrence distance that was not actually
           periodic *)
-  mutable vetoed : int;  (** verified patterns vetoed as stream-variant *)
+  mutable vetoed : int;
+      (** planned regions the driver vetoed as stream-variant *)
   mutable cost_gated : int;
       (** verified regions skipped as too small to repay their own
           fingerprint (and attempts abandoned on the same grounds) *)
@@ -86,18 +94,23 @@ type ctx = {
   n_ids : int;  (** number of distinct block ids (array bound) *)
   n_instrs_of : int -> int;  (** instructions in a block, by id *)
   stream_invariant : start:int -> period:int -> bool;
-      (** cheap pre-filter: whether one iteration of the candidate
-          pattern leaves the data stream where it started (see
-          {!Data_stream.advance_invariant}); convergence is still only
-          ever established by fingerprint equality *)
+      (** the driver's veto, applied to each planned region in {!make}
+          and never to the shared plan: whether one iteration of the
+          candidate pattern leaves the data stream where it started
+          (see {!Data_stream.advance_invariant}).  Constant [true] when
+          the data side is not replayed (single-process runs); a cheap
+          pre-filter where it is live, convergence still only ever
+          being established by fingerprint equality *)
   fingerprint : start:int -> period:int -> add:(int -> unit) -> unit;
       (** canonical fingerprint, at the current point, of the machine
           state one iteration of the pattern at [blocks.(start ..
           start+period)] can observe or modify — state provably
           untouched by the pattern (e.g. the whole data-memory side of
-          a pure-compute loop) may be excluded.  [start] is always the
-          region's first boundary, so the scanned window is identical
-          across a region's snapshots *)
+          a pure-compute loop) may be excluded, and state the replay
+          does not carry (the data side of a single-process run, whose
+          totals are added at finalisation) is absent.  [start] is
+          always the region's first boundary, so the scanned window is
+          identical across a region's snapshots *)
   exec : int -> unit;  (** execute the block at a trace position *)
   set_awake_recorder : (int -> unit) option -> unit;
       (** drowsy awake-increment recorder hook (no-op if not drowsy) *)
@@ -110,7 +123,9 @@ type ctx = {
           standalone, bit-identical either way *)
   cache_scope : string;
       (** cache key component identifying the replayed world: the
-          compiled trace's token plus the full configuration digest.
+          compiled trace's token, the full configuration digest and
+          whether the data side is live (entries recorded with it hold
+          D counters and stalls, entries recorded without it do not).
           Ignored when [cache] is [None] *)
   cycle_headroom : (unit -> int) option;
       (** when present, a skip may add at most this many cycles to
@@ -137,9 +152,10 @@ val run : ctx -> unit
 type driver
 
 val make : ctx -> driver
-(** Builds (or fetches the memoised) region plan for [ctx.blocks] and
-    folds its scan-side counts ([gate_rejected], [vetoed],
-    [cost_gated]) into [ctx.report]. *)
+(** Builds (or fetches the memoised) region plan for [ctx.blocks],
+    drops the regions [ctx.stream_invariant] vetoes, and folds the
+    scan-side counts ([gate_rejected], [cost_gated]) and the vetoed
+    regions ([vetoed]) into [ctx.report]. *)
 
 val engaged : driver -> bool
 (** Whether the plan found any fast-forwardable region.  When [false]

@@ -16,6 +16,7 @@ module Cam_cache = Wayplace.Cache.Cam_cache
 module Drowsy = Wayplace.Cache.Drowsy
 module Mibench = Wayplace.Workloads.Mibench
 module Spec = Wayplace.Workloads.Spec
+module Mp = Wayplace.Mp
 
 (* --- synthetic harness ------------------------------------------- *)
 
@@ -470,7 +471,8 @@ let loop_kernel =
   }
 
 (* Every instruction a data access: every periodic candidate moves the
-   stream cursors, so the stream-variance veto rejects them all. *)
+   stream cursors, so wherever the data side is live the
+   stream-variance veto rejects them all. *)
 let memheavy_kernel =
   {
     loop_kernel with
@@ -575,9 +577,90 @@ let test_cached_loop_schemes () =
     schemes
 
 let test_memheavy_vetoed () =
-  let report = check_three_way memheavy_kernel (Config.xscale Config.Baseline) in
+  (* A single-process run carries no data state (the trace's data-side
+     totals are added at finalisation), so no veto applies to it: it
+     stays three-way bit-identical, and its loops converge and skip.
+     The veto lives where the data side is live: as an [Mp.Machine]
+     process, every candidate pattern is vetoed and nothing is skipped.
+     The loops are short, so both runs take a skip threshold low enough
+     that the veto, not the cost gate, is what decides. *)
+  let config = Config.xscale Config.Baseline in
+  ignore (check_three_way memheavy_kernel config);
+  let policy = { Steady_state.default_policy with min_skip_instrs = 100 } in
+  let prep = prepare memheavy_kernel in
+  let single = Steady_state.create_report () in
+  let s_on =
+    Simulator.run_compiled ~fastforward:true ~ff_policy:policy
+      ~ff_report:single ~config ~trace:prep.Runner.trace_large
+      (Runner.compiled_for prep config)
+  in
+  let s_off = Runner.run_scheme ~fastforward:false prep config in
+  if not (Stats.equal s_on s_off) then
+    Alcotest.failf "mem-heavy: low-threshold fast-forward diverges:@ %a"
+      Stats.pp_diff (s_on, s_off);
+  Alcotest.(check bool) "no data state: the same loops skip" true
+    (single.Steady_state.skipped_instrs > 0);
+  let mix = Mp.Mix.of_specs [ memheavy_kernel ] in
+  let options = Mp.Machine.oracle_options in
+  let report = Steady_state.create_report () in
+  let on =
+    Mp.Machine.run ~fastforward:true ~ff_policy:policy ~ff_report:report
+      ~config ~options mix
+  in
+  let off = Mp.Machine.run ~fastforward:false ~config ~options mix in
+  if not (Stats.equal on.Mp.Machine.aggregate off.Mp.Machine.aggregate) then
+    Alcotest.failf "mem-heavy mp: fast-forward diverges:@ %a" Stats.pp_diff
+      (on.Mp.Machine.aggregate, off.Mp.Machine.aggregate);
+  Alcotest.(check bool) "live data side: patterns vetoed" true
+    (report.Steady_state.vetoed > 0);
   Alcotest.(check int) "stream-variant loops skip nothing" 0
     report.Steady_state.skipped_instrs
+
+let test_dside_loops_fastforward () =
+  (* Loops that draw random data addresses converge once the data side
+     leaves the fingerprint: sha and blowfish_e skip instructions and
+     stay bit-identical with fast-forward on, off and through the
+     reference step. *)
+  List.iter
+    (fun name ->
+      List.iter
+        (fun scheme ->
+          let report = check_three_way (Mibench.find name) (Config.xscale scheme) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s / %s: skips" name (Config.scheme_name scheme))
+            true
+            (report.Steady_state.skipped_instrs > 0))
+        [ Config.Baseline; Config.Way_placement { area_bytes = 16 * 1024 } ])
+    [ "sha"; "blowfish_e" ]
+
+let test_veto_per_driver () =
+  (* The region plan is memoised per trace; a vetoing driver scanning
+     the trace first must not decide the plan for a driver without a
+     veto.  The live-data context (what [Mp.Machine] builds) vetoes
+     sha's loops; a single-process run of the same trace afterwards
+     must still skip. *)
+  let prep = Runner.prepare (Mibench.find "sha") in
+  let config = Config.xscale Config.Baseline in
+  let m = Replay.machine config ~code_base:Simulator.code_base in
+  let s =
+    Replay.stream config ~trace:prep.Runner.trace_large ~stats:(Stats.create ())
+      (Runner.compiled_for prep config)
+  in
+  let vetoing = Steady_state.create_report () in
+  ignore
+    (Steady_state.make
+       (Replay.ff_ctx ~report:vetoing ~policy:Steady_state.default_policy
+          ~cache:None config m s));
+  Alcotest.(check bool) "the live data side vetoes" true
+    (vetoing.Steady_state.vetoed > 0);
+  let report = Steady_state.create_report () in
+  let on = Runner.run_scheme ~fastforward:true ~ff_report:report prep config in
+  let off = Runner.run_scheme ~fastforward:false prep config in
+  if not (Stats.equal on off) then
+    Alcotest.failf "sha after a vetoing scan diverges:@ %a" Stats.pp_diff
+      (on, off);
+  Alcotest.(check bool) "single-process run still skips" true
+    (report.Steady_state.skipped_instrs > 0)
 
 let test_drowsy_crossing () =
   (* A window smaller than one loop iteration's fetch count forces
@@ -647,6 +730,78 @@ let test_resize_schedule_bails () =
     Alcotest.failf "resize schedule: fast step diverges from reference:@ %a"
       Stats.pp_diff (on, reference)
 
+(* The same compiled trace replayed with a live data side (each
+   [Mp.Machine] process) and without one (single-process runs) records
+   different effects per iteration, so the two modes must never serve
+   each other's snapshot-cache entries.  One cache is shared between
+   single-process runs, a live-data replay of the same compiled trace,
+   and [Mp.Machine] runs of the same programs; each must equal its
+   fast-forward-off result, and the two modes' scopes must differ. *)
+let test_cache_dside_modes () =
+  let config = Config.xscale (Config.Way_placement { area_bytes = 2048 }) in
+  let prep = prepare loop_kernel in
+  let trace = prep.Runner.trace_large in
+  let compiled = Runner.compiled_for prep config in
+  let cache = Snapshot_cache.create () in
+  (* A live-data replay of one stream, with or without fast-forward;
+     its unpriced counters. *)
+  let live ~ff =
+    let m = Replay.machine config ~code_base:Simulator.code_base in
+    let s = Replay.stream config ~trace ~stats:(Stats.create ()) compiled in
+    let ctx =
+      Replay.ff_ctx ~policy:Steady_state.default_policy
+        ~cache:(if ff then Some cache else None) config m s
+    in
+    (if ff then Steady_state.run ctx
+     else
+       let step = Replay.fast_step m s in
+       Array.iteri (fun k _ -> step k) s.Replay.blocks);
+    Replay.finish s;
+    (ctx.Steady_state.cache_scope, Stats.snapshot_ints s.Replay.stats)
+  in
+  let single () =
+    let report = Steady_state.create_report () in
+    let on =
+      Runner.run_scheme ~fastforward:true ~ff_report:report
+        ~snapshot_cache:cache prep config
+    in
+    let off = Runner.run_scheme ~fastforward:false prep config in
+    if not (Stats.equal on off) then
+      Alcotest.failf "single-process run over the shared cache diverges:@ %a"
+        Stats.pp_diff (on, off);
+    report
+  in
+  let mix = Mp.Mix.of_specs [ loop_kernel; memheavy_kernel ] in
+  let options = { Mp.Machine.default_options with Mp.Machine.quantum_cycles = 20_000 } in
+  let mp () =
+    let on = Mp.Machine.run ~snapshot_cache:cache ~config ~options mix in
+    let off = Mp.Machine.run ~fastforward:false ~config ~options mix in
+    if Mp.Machine.divergences ~fast:on ~reference:off <> [] then
+      Alcotest.fail "mp run over the shared cache diverges"
+  in
+  let first = single () in
+  Alcotest.(check bool) "single-process run publishes" true
+    (first.Steady_state.cache_inserts > 0);
+  let live_scope, live_on = live ~ff:true in
+  let _, live_off = live ~ff:false in
+  Alcotest.(check (array int)) "live-data replay over the shared cache"
+    live_off live_on;
+  mp ();
+  ignore (single ());
+  mp ();
+  let totals_scope =
+    let m = Replay.machine config ~code_base:Simulator.code_base in
+    let s =
+      Replay.stream ~live_data:false config ~trace ~stats:(Stats.create ())
+        compiled
+    in
+    (Replay.ff_ctx ~policy:Steady_state.default_policy ~cache:(Some cache)
+       config m s)
+      .Steady_state.cache_scope
+  in
+  Alcotest.(check bool) "the data-side modes have distinct scopes" true
+    (live_scope <> totals_scope)
+
 let test_default_toggle () =
   (* run_scheme with no explicit argument follows the global default. *)
   let prep = prepare loop_kernel in
@@ -682,6 +837,8 @@ let () =
             test_cache_cross_region;
           Alcotest.test_case "scope isolation" `Quick
             test_cache_scope_isolation;
+          Alcotest.test_case "data-side modes never share entries" `Quick
+            test_cache_dside_modes;
           QCheck_alcotest.to_alcotest prop_cached_reuse_equiv;
         ] );
       ( "fingerprints",
@@ -700,6 +857,10 @@ let () =
             test_cached_loop_schemes;
           Alcotest.test_case "mem-heavy loop vetoed" `Quick
             test_memheavy_vetoed;
+          Alcotest.test_case "data-side loops fast-forward" `Quick
+            test_dside_loops_fastforward;
+          Alcotest.test_case "veto stays out of the shared plan" `Quick
+            test_veto_per_driver;
           Alcotest.test_case "drowsy crossing iterations" `Quick
             test_drowsy_crossing;
           Alcotest.test_case "resize schedule bails out" `Quick
